@@ -2,7 +2,8 @@
 
 Builds an AST lock model over a set of python sources (by default the
 concurrent subsystems: ``repro/obs/``, ``repro/parallel/``, and
-``repro/trace/push.py``) and runs four detector families — lock-order
+``repro/trace/textparse.py``, home of the parser state the daemon keeps
+per namespace) and runs four detector families — lock-order
 cycles, leaked explicit acquires, LockDoc-style unguarded field
 accesses, and blocking calls under a held lock — reporting through the
 shared :class:`repro.analysis.findings.AnalysisReport` machinery.

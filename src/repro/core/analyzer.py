@@ -19,12 +19,20 @@ Typical use::
 The only per-tester setting is the mount-point regex, exactly as the
 paper claims for the prototype.
 
+There is one ingest path.  Every entry point turns its input into rows
+(``(name, args, retval, errno, pid, comm, timestamp)`` tuples, see
+:mod:`repro.trace.events`) and hands them to one counting loop: event
+iterables are converted at the boundary, text files arrive as parser
+row batches, ``.rbt`` files and live-ingest frames as decoded batches,
+and the sharded workers of :mod:`repro.parallel` count their rows the
+same way.  Counts therefore cannot depend on the path taken.
+
 Two properties matter for scale (see :mod:`repro.parallel`):
 
 * **streaming** — :meth:`IOCov.consume` pulls from any iterable, and
-  the ``consume_*_file`` readers feed it a parser *generator*, so a
-  multi-GB trace never materializes in memory; :meth:`consume_stream`
-  adds chunked progress reporting on top.
+  the ``consume_*_file`` readers parse chunk by chunk, so a multi-GB
+  trace never materializes in memory; :meth:`consume_stream` adds
+  chunked progress reporting on top.
 * **mergeability** — :meth:`IOCov.merge` folds the state of another
   analyzer in exactly (all underlying tallies are sums), so N shards
   consumed independently combine into a result bit-identical to one
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.argspec import BASE_SYSCALLS, SyscallSpec, TRACKED_SYSCALLS, base_name
 from repro.core.filter import AcceptAllFilter, TraceFilter
@@ -44,15 +52,18 @@ from repro.core.output_coverage import OutputCoverage
 from repro.core.report import CoverageReport
 from repro.core.variants import CREAT_IMPLIED_FLAGS, VariantHandler
 from repro.trace.batch import EventBatch, make_batch_parser
-from repro.trace.events import SyscallEvent
-from repro.trace.lttng import LttngParser
-from repro.trace.strace import StraceParser
-from repro.trace.syzkaller import SyzkallerParser
+from repro.trace.events import Row, SyscallEvent
 
 #: Default chunk size for :meth:`IOCov.consume_stream`.
 DEFAULT_CHUNK_SIZE = 65536
 
 _MISSING = object()
+
+
+def _rows_of(events: Iterable[SyscallEvent]) -> Iterator[Row]:
+    """Events as rows: where event input joins the one ingest path."""
+    for e in events:
+        yield (e.name, e.args, e.retval, e.errno, e.pid, e.comm, e.timestamp)
 
 
 def _prep_creat(args: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -153,86 +164,12 @@ class IOCov:
 
     # -- ingestion ------------------------------------------------------------
 
-    def consume_event(self, event: SyscallEvent, *, prefiltered: bool = False) -> None:
-        """Feed one event through filter, variant merge, and counting."""
-        self.events_processed += 1
-        if not prefiltered and not self.filter.admit(event):
-            return
-        self.count_admitted(event)
+    def _ingest_rows(self, rows: Iterable[Row]) -> None:
+        """The counting loop: filter + dispatch-table counting, no reset.
 
-    def count_admitted(self, event: SyscallEvent) -> None:
-        """Count one event that already passed (or bypassed) the filter.
-
-        Increments ``events_admitted`` but not ``events_processed`` —
-        the entry point the sharded fixup replay uses for deferred
-        events whose processing was already tallied by a worker.
-        """
-        self.events_admitted += 1
-        entry = self._dispatch.get(event.name)
-        if entry is None:
-            self.untracked[event.name] += 1
-            return
-        prep, pairs, out_record = entry
-        args = event.args if prep is None else prep(event.args)
-        for arg_name, arg_record in pairs:
-            value = args.get(arg_name, _MISSING)
-            if value is not _MISSING:
-                arg_record(value)
-        if out_record is not None:
-            out_record(event.retval, event.errno)
-
-    def count_admitted_record(
-        self, name: str, args: Mapping[str, Any], retval: int, errno: int
-    ) -> None:
-        """Field-level twin of :meth:`count_admitted` (batch workers)."""
-        self.events_admitted += 1
-        entry = self._dispatch.get(name)
-        if entry is None:
-            self.untracked[name] += 1
-            return
-        prep, pairs, out_record = entry
-        if prep is not None:
-            args = prep(args)
-        for arg_name, arg_record in pairs:
-            value = args.get(arg_name, _MISSING)
-            if value is not _MISSING:
-                arg_record(value)
-        if out_record is not None:
-            out_record(retval, errno)
-
-    def _ingest(self, events: Iterable[SyscallEvent]) -> None:
-        """Hot loop: filter + dispatch-table counting, no reset."""
-        admit = self.filter.admit
-        dispatch_get = self._dispatch.get
-        untracked = self.untracked
-        processed = 0
-        admitted = 0
-        for event in events:
-            processed += 1
-            if not admit(event):
-                continue
-            admitted += 1
-            entry = dispatch_get(event.name)
-            if entry is None:
-                untracked[event.name] += 1
-                continue
-            prep, pairs, out_record = entry
-            args = event.args if prep is None else prep(event.args)
-            for arg_name, arg_record in pairs:
-                value = args.get(arg_name, _MISSING)
-                if value is not _MISSING:
-                    arg_record(value)
-            if out_record is not None:
-                out_record(event.retval, event.errno)
-        self.events_processed += processed
-        self.events_admitted += admitted
-
-    def _ingest_rows(self, rows: Iterable[tuple]) -> None:
-        """Row-tuple twin of :meth:`_ingest` (batch/binary hot path).
-
-        Identical counting, but events arrive as ``(name, args,
-        retval, errno, pid, comm, timestamp)`` tuples so no
-        :class:`SyscallEvent` is ever constructed.
+        Every ingest path ends here.  Events arrive as rows (see
+        :mod:`repro.trace.events`), so no :class:`SyscallEvent` is ever
+        constructed on the way from parser to counter.
         """
         admit = self.filter.admit_record
         dispatch_get = self._dispatch.get
@@ -283,7 +220,7 @@ class IOCov:
         generator — it is consumed strictly one event at a time.
         """
         self.filter.reset()
-        self._ingest(events)
+        self._ingest_rows(_rows_of(events))
         return self
 
     def consume_incremental(self, events: Iterable[SyscallEvent]) -> "IOCov":
@@ -294,7 +231,7 @@ class IOCov:
         filter's fd table must persist across them, so unlike
         :meth:`consume` nothing is reset between calls.
         """
-        self._ingest(events)
+        self._ingest_rows(_rows_of(events))
         return self
 
     def consume_stream(
@@ -319,7 +256,7 @@ class IOCov:
             chunk = list(islice(iterator, chunk_size))
             if not chunk:
                 break
-            self._ingest(chunk)
+            self._ingest_rows(_rows_of(chunk))
             if progress is not None:
                 progress(self.events_processed)
         return self

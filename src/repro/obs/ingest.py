@@ -45,7 +45,7 @@ from repro.obs.store import DEFAULT_PROJECT, DEFAULT_TENANT, BaseRunStore
 from repro.parallel.pool import PoolError, WorkerPool
 from repro.trace.batch import EventBatch, make_batch_parser
 from repro.trace.binary import RbtError, decode_batch, encode_batch
-from repro.trace.push import make_push_parser
+from repro.trace.textparse import split_lines
 
 #: Default bound on queued-but-uncounted lines.
 DEFAULT_QUEUE_SIZE = 65536
@@ -96,15 +96,12 @@ class _Flush:
 
 
 class _BatchLineParser:
-    """Chunk-mode parsing behind the push-parser counter interface.
+    """In-process chunk parsing for one session.
 
     Wraps a persistent :func:`make_batch_parser` (pairing state spans
-    chunks) and tracks ``lines_fed`` the way the push parsers do, so
-    the error-budget arithmetic and the ``/session`` stats are
-    unchanged.  When a chunk contains grammar-rejected lines the
-    parser re-probes it line-by-line with a throwaway push parser to
-    recover the malformed *positions* for the quarantine — a cost paid
-    only on the (rare) dirty chunks.
+    chunks) and counts ``lines_fed``, the denominator of the error
+    budget.  The parser itself reports where the grammar-rejected lines
+    of each chunk sit, which the quarantine records.
     """
 
     def __init__(self, fmt: str) -> None:
@@ -126,17 +123,10 @@ class _BatchLineParser:
 
     def parse_lines(self, lines: list[str]) -> tuple[list, list[int]]:
         """Parse one chunk; returns ``(rows, malformed_indices)``."""
-        before = self._parser.malformed_lines
-        rows = self._parser.parse_chunk("\n".join(lines))
+        # Terminate every line: a trailing blank line must stay a line.
+        rows = self._parser.parse_chunk("\n".join(lines) + "\n")
         self.lines_fed += len(lines)
-        bad: list[int] = []
-        if self._parser.malformed_lines > before:
-            probe = make_push_parser(self.fmt)
-            for index, line in enumerate(lines):
-                _events, malformed = probe.push_line(line)
-                if malformed:
-                    bad.append(index)
-        return rows, bad
+        return rows, self._parser.malformed_at
 
 
 class _PoolLineParser:
@@ -192,7 +182,7 @@ class _PoolLineParser:
         if self._inline is None:
             try:
                 future = self._pool.submit_parse(
-                    self._key, self.fmt, "\n".join(lines), worker=self._worker
+                    self._key, self.fmt, "\n".join(lines) + "\n", worker=self._worker
                 )
             except PoolError:
                 self._fall_back()
@@ -499,11 +489,19 @@ class IngestSession:
     def feed_lines(self, lines: list[str], *, journal: bool = True) -> None:
         """Enqueue complete lines; blocks when the queue is full.
 
+        An item may end in its own ``"\\n"`` (``readlines()`` output)
+        or hold several lines; items are split at ``"\\n"`` exactly as
+        a file reader splits, so every queued item is one line.
+
         Raises:
             SessionDegradedError: the error budget is exhausted.
             RuntimeError: the session was closed.
         """
         self._check_accepting()
+        if any("\n" in line for line in lines):
+            lines = split_lines(
+                "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+            )
         if not lines:
             return
         if journal and self.store is not None:

@@ -10,7 +10,7 @@ to a sequential pass.  Exactness rests on three mechanisms:
    tree-reduced).
 2. **Filter fixup replay** — events a shard could not decide locally
    (they hinge on pre-shard fd state) were deferred; the parent
-   replays each shard's op log, deferred events, and boundary pairs in
+   replays each shard's op log, deferred rows, and boundary pairs in
    stream order against a real :class:`TraceFilter`, reconstructing
    the exact sequential fd table at every decision point.
 3. **LTTng boundary stitching** — exit lines orphaned by a shard cut
@@ -46,7 +46,6 @@ from repro.parallel.worker import (
     analyze_shard,
 )
 from repro.trace.batch import make_parse_stats
-from repro.trace.lttng import pair_event
 from repro.trace.syzkaller import scan_resource_bindings
 
 #: Below this many *estimated* events per worker, fan-out costs more
@@ -387,9 +386,12 @@ def _stitch_and_merge(
                     f"carried entries for {key} still queued at a local pair"
                 )
 
+        # An orphan precedes the row whose seq it carries, so on equal
+        # seqs it must come first: heapq.merge breaks ties by argument
+        # order.
         records = heapq.merge(
-            ((seq, 0, payload) for seq, *payload in result.ops),
             ((seq, 1, payload) for seq, payload in result.orphans),
+            ((seq, 0, payload) for seq, *payload in result.ops),
             ((seq, 2, payload) for seq, payload in result.iter_deferred()),
             key=lambda record: record[0],
         )
@@ -401,21 +403,20 @@ def _stitch_and_merge(
                 else:
                     real.retire_fd(pid, fd)
             elif tag == 1:  # orphan exit: pair with a carried entry
-                ns, name, pid, comm, fields = payload
+                name, pid, comm, ret = payload
                 queue = carried[(pid, name)]
                 if queue:
                     entry_ns, entry_comm, args = queue.popleft()
-                    event = pair_event(
-                        name, args, fields, pid, entry_comm or comm, entry_ns
+                    errno = -ret if ret < 0 else 0
+                    fixup._ingest_rows(
+                        ((name, args, ret, errno, pid, entry_comm or comm, entry_ns),)
                     )
-                    fixup.consume_event(event)
                 else:
                     # Exit with no entry anywhere before it — the
                     # sequential parser counts it as a skipped line.
                     unstitched_orphans += 1
-            else:  # deferred event: decide against the true fd state
-                if real.admit(payload):
-                    fixup.count_admitted(payload)
+            else:  # deferred row: decide against the true fd state
+                fixup._ingest_rows((payload,))
 
         for key, entries in result.pending.items():
             carried[key].extend(entries)

@@ -215,7 +215,6 @@ def _parse_task(state: dict, key: str, fmt: str, text: str):
     """
     from repro.trace.batch import make_batch_parser
     from repro.trace.binary import encode_batch
-    from repro.trace.push import make_push_parser
 
     parser = state.get(key)
     if parser is None or parser.format != fmt:
@@ -224,17 +223,10 @@ def _parse_task(state: dict, key: str, fmt: str, text: str):
     before_malformed = parser.malformed_lines
     before_skipped = parser.skipped_lines
     rows = parser.parse_chunk(text)
-    bad: list[int] = []
-    if parser.malformed_lines > before_malformed:
-        probe = make_push_parser(fmt)
-        for index, line in enumerate(text.split("\n")):
-            _events, malformed = probe.push_line(line)
-            if malformed:
-                bad.append(index)
     return (
         encode_batch(rows),
         len(rows),
-        bad,
+        parser.malformed_at,
         parser.malformed_lines - before_malformed,
         parser.skipped_lines - before_skipped,
         parser.unpaired_entries,
@@ -260,8 +252,7 @@ def _worker_main(worker_id: int, incarnation: int, prefix: str,
         try:
             if kind == "shard":
                 meta, blob_ref = payload
-                text = _blob_unpack(blob_ref).decode("utf-8")
-                result = analyze_shard_data(meta, text)
+                result = analyze_shard_data(meta, _blob_unpack(blob_ref))
                 blob = result.deferred_blob
                 deferred_ref = None
                 if blob is not None:

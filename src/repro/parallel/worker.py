@@ -6,19 +6,23 @@ needs to make the combined result *bit-identical* to a sequential
 pass:
 
 * the :class:`~repro.parallel.shardfilter.ShardFilter` op log and
-  deferred events (stateful mount-point filtering across shards);
+  deferred rows (stateful mount-point filtering across shards);
 * LTTng pairing residue: orphan exit lines (entry in an earlier
   shard) and pending entry lines (exit in a later shard), plus the
   per-key diagnostics the parent uses to prove local pairing was
   position-exact.
 
-Every record in the shard gets a sequence number (``seq``) in stream
-order; ops, deferred events, and orphans all carry their seq so the
-parent can interleave its fixup replay at exactly the right points.
+The span is parsed in newline-aligned chunks by the same parser class
+the serial path uses, and its rows are counted by the same loop.  Every
+row gets a sequence number (``seq``, its index in the shard's row
+stream); ops and deferred rows carry their row's seq, orphans the seq
+of the row they precede, so the parent can interleave its fixup replay
+at exactly the right points.
 """
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
@@ -28,11 +32,12 @@ from repro.core.filter import TraceFilter
 from repro.core.input_coverage import InputCoverage
 from repro.core.output_coverage import OutputCoverage
 from repro.parallel.shardfilter import FdOp, ShardFilter
-from repro.parallel.sharding import iter_span_chunks, iter_span_lines
-from repro.trace.batch import StraceBatchParser, SyzkallerBatchParser
+from repro.parallel.sharding import iter_span_chunks, read_span_chunks
+from repro.trace.batch import make_batch_parser
 from repro.trace.binary import decode_batch, encode_batch
-from repro.trace.events import SyscallEvent
-from repro.trace.lttng import LttngParser, OrphanExit
+from repro.trace.events import Row
+from repro.trace.lttng import OrphanExit
+from repro.trace.syzkaller import SyzkallerParser
 
 #: Trace formats the sharded pipeline understands.
 FORMATS = ("lttng", "strace", "syzkaller")
@@ -68,9 +73,10 @@ class ShardResult:
     events_admitted: int
     #: definite fd-table mutations, (seq, pid, op, fd), stream order
     ops: list[FdOp] = field(default_factory=list)
-    #: events whose filter verdict needs pre-shard fd state
-    deferred: list[tuple[int, SyscallEvent]] = field(default_factory=list)
-    #: LTTng exit lines whose entries live in an earlier shard
+    #: rows whose filter verdict needs pre-shard fd state
+    deferred: list[tuple[int, Row]] = field(default_factory=list)
+    #: LTTng exit lines whose entries live in an earlier shard, keyed by
+    #: the seq of the row they precede (the count of rows before them)
     orphans: list[tuple[int, OrphanExit]] = field(default_factory=list)
     #: LTTng entry lines whose exits live in a later shard
     pending: PendingMap = field(default_factory=dict)
@@ -82,16 +88,16 @@ class ShardResult:
     #: into the run-level parse stats).
     skipped_lines: int = 0
     malformed_lines: int = 0
-    #: deferred events shipped as one encoded ``.rbt`` frame instead of
-    #: a pickled event list (cheaper IPC); ``deferred_seqs`` carries the
+    #: deferred rows shipped as one encoded ``.rbt`` frame instead of
+    #: a pickled row list (cheaper IPC); ``deferred_seqs`` carries the
     #: matching stream positions.  When set, ``deferred`` is empty.
     deferred_blob: bytes | None = None
     deferred_seqs: list[int] | None = None
 
     def iter_deferred(self):
-        """Yield ``(seq, event)`` regardless of the transport encoding."""
+        """Yield ``(seq, row)`` regardless of the transport encoding."""
         if self.deferred_blob is not None:
-            return zip(self.deferred_seqs, decode_batch(self.deferred_blob).iter_events())
+            return zip(self.deferred_seqs, decode_batch(self.deferred_blob).iter_rows())
         return iter(self.deferred)
 
     def merge(self, other: "ShardResult") -> "ShardResult":
@@ -109,22 +115,6 @@ class ShardResult:
         return self
 
 
-def _feed(iocov: IOCov, shard_filter: ShardFilter | None, seq: int, event: SyscallEvent) -> None:
-    """Route one event: count locally-admitted, tally the rest.
-
-    Deferred events count as *processed* here (the worker saw them);
-    the parent's replay adds only the admitted/coverage side, via
-    :meth:`IOCov.count_admitted`.
-    """
-    if shard_filter is None:
-        iocov.consume_event(event, prefiltered=True)
-        return
-    if shard_filter.admit_local(seq, event) is True:
-        iocov.consume_event(event, prefiltered=True)
-    else:
-        iocov.events_processed += 1
-
-
 def analyze_shard(task: ShardTask) -> ShardResult:
     """Analyze one byte span of the trace file (runs in a worker).
 
@@ -135,18 +125,17 @@ def analyze_shard(task: ShardTask) -> ShardResult:
     return _analyze_shard_impl(task, data=None)
 
 
-def analyze_shard_data(task: ShardTask, data: str) -> ShardResult:
-    """Analyze one shard whose span text was delivered in memory.
+def analyze_shard_data(task: ShardTask, data: bytes) -> ShardResult:
+    """Analyze one shard whose span bytes were delivered in memory.
 
-    *data* is the exact decoded text of the span ``[start, end)`` —
-    what the executor's reader thread placed in the shared-memory
-    segment.  Results are identical to :func:`analyze_shard` reading
+    *data* is the exact bytes of the span ``[start, end)`` — what the
+    executor's reader thread placed in the shared-memory segment.  Results are identical to :func:`analyze_shard` reading
     the same span from ``task.path``.
     """
     return _analyze_shard_impl(task, data=data)
 
 
-def _analyze_shard_impl(task: ShardTask, data: str | None) -> ShardResult:
+def _analyze_shard_impl(task: ShardTask, data: bytes | None) -> ShardResult:
     if task.fmt not in FORMATS:
         raise ValueError(f"unknown trace format: {task.fmt!r}")
     iocov = IOCov(suite_name=f"shard-{task.index}")
@@ -156,82 +145,63 @@ def _analyze_shard_impl(task: ShardTask, data: str | None) -> ShardResult:
         else None
     )
 
-    orphans: list[tuple[int, OrphanExit]] = []
-    pending: PendingMap = {}
-    first_pair_orphans: dict[tuple[int, str], int] = {}
-    skipped = malformed = 0
-
-    if task.fmt == "lttng":
-        # Entry/exit pairing and the orphan/pending stitch residue need
-        # the record stream, so LTTng shards stay on the per-line
-        # reader (whose fast line grammar does the heavy lifting).
-        if data is None:
-            lines = iter_span_lines(task.path, task.start, task.end)
-        else:
-            lines = data.splitlines(keepends=True)
-        parser = LttngParser()
-        orphan_seen: dict[tuple[int, str], int] = {}
-        seq = 0
-        for kind, payload in parser.parse_records(lines):
-            if kind == "orphan":
-                ns, name, pid, comm, fields = payload
-                key = (pid, name)
-                orphan_seen[key] = orphan_seen.get(key, 0) + 1
-                orphans.append((seq, payload))
-            else:
-                event = payload
-                key = (event.pid, event.name)
-                if key not in first_pair_orphans:
-                    first_pair_orphans[key] = orphan_seen.get(key, 0)
-                _feed(iocov, shard_filter, seq, event)
-            seq += 1
-        pending = parser.pending_entries
-        skipped = parser.skipped_lines
-        malformed = parser.malformed_lines
+    parser = (
+        SyzkallerParser(task.resources)
+        if task.fmt == "syzkaller"
+        else make_batch_parser(task.fmt)
+    )
+    # LTTng pairing residue: exits whose entries precede the span are
+    # kept for the stitch phase instead of being counted as skipped.
+    orphans: list[tuple[int, OrphanExit]] | None = [] if task.fmt == "lttng" else None
+    if orphans is not None:
+        parser.orphans = orphans
+    if data is None:
+        chunks = iter_span_chunks(task.path, task.start, task.end)
     else:
-        # Self-contained line formats: batch-parse the span chunk by
-        # chunk; rows feed the analyzer without event construction.
-        parser = (
-            StraceBatchParser()
-            if task.fmt == "strace"
-            else SyzkallerBatchParser(resources=task.resources)
-        )
-        if data is None:
-            chunks = iter_span_chunks(task.path, task.start, task.end)
-        else:
-            # In-memory span: one chunk (batch parsing is chunking-
-            # independent, property-tested in tests/trace/test_batch.py).
-            chunks = (data,) if data else ()
+        chunks = read_span_chunks(io.BytesIO(data), len(data))
+    # (pid, name) -> seq of the shard's first local pair for that key.
+    first_pair: dict[tuple[int, str], int] = {}
+    seq = 0
+    for chunk in chunks:
+        rows = parser.parse_chunk(chunk)
+        if orphans is not None:
+            for index, row in enumerate(rows, seq):
+                key = (row[4], row[0])
+                if key not in first_pair:
+                    first_pair[key] = index
         if shard_filter is None:
-            for chunk in chunks:
-                iocov._ingest_rows(parser.parse_chunk(chunk))
+            iocov._ingest_rows(rows)
         else:
-            admit_row = shard_filter.admit_local_row
-            count_record = iocov.count_admitted_record
-            seq = 0
-            for chunk in chunks:
-                for row in parser.parse_chunk(chunk):
-                    if admit_row(seq, row) is True:
-                        count_record(row[0], row[1], row[2], row[3])
-                    seq += 1
-                iocov.events_processed = seq
-        skipped = parser.skipped_lines
-        malformed = parser.malformed_lines
+            # The worker counts only the rows it decides; deferred rows
+            # (verdict None) are counted by the parent's replay.
+            admit = shard_filter.admit_local_row
+            admitted: list[Row] = []
+            rejected = 0
+            for index, row in enumerate(rows, seq):
+                verdict = admit(index, row)
+                if verdict is True:
+                    admitted.append(row)
+                elif verdict is not None:
+                    rejected += 1
+            iocov._ingest_rows(admitted)
+            iocov.events_processed += rejected
+        seq += len(rows)
+
+    first_pair_orphans = dict.fromkeys(first_pair, 0)
+    for rows_before, (name, pid, _comm, _ret) in orphans or ():
+        key = (pid, name)
+        if key in first_pair and rows_before <= first_pair[key]:
+            first_pair_orphans[key] += 1
 
     deferred = shard_filter.deferred if shard_filter is not None else []
     deferred_blob = None
     deferred_seqs = None
     if deferred:
-        # Ship the deferred events as one encoded frame: cheaper to
-        # pickle than a list of event objects, decoded lazily by the
+        # Ship the deferred rows as one encoded frame: cheaper to
+        # pickle than a list of row tuples, decoded lazily by the
         # parent's stitch phase.
         deferred_seqs = [seq for seq, _ in deferred]
-        deferred_blob = encode_batch(
-            [
-                (e.name, e.args, e.retval, e.errno, e.pid, e.comm, e.timestamp)
-                for _, e in deferred
-            ]
-        )
+        deferred_blob = encode_batch([row for _, row in deferred])
         deferred = []
 
     return ShardResult(
@@ -243,11 +213,11 @@ def _analyze_shard_impl(task: ShardTask, data: str | None) -> ShardResult:
         events_admitted=iocov.events_admitted,
         ops=shard_filter.ops if shard_filter is not None else [],
         deferred=deferred,
-        orphans=orphans,
-        pending=pending,
+        orphans=orphans or [],
+        pending=parser.pending if orphans is not None else {},
         first_pair_orphans=first_pair_orphans,
-        skipped_lines=skipped,
-        malformed_lines=malformed,
+        skipped_lines=parser.skipped_lines,
+        malformed_lines=parser.malformed_lines,
         deferred_blob=deferred_blob,
         deferred_seqs=deferred_seqs,
     )

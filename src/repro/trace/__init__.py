@@ -4,12 +4,13 @@ Capture paths into the IOCov analyzer:
 
 * live: :class:`TraceRecorder` attached to a
   :class:`~repro.vfs.syscalls.SyscallInterface` (the LTTng equivalent);
-* offline LTTng/babeltrace text: :class:`LttngParser`;
-* offline strace text: :class:`StraceParser`;
-* syzkaller program logs (input-only): :class:`SyzkallerParser`;
-* batch-columnar parsing of any text format: :class:`EventBatch` and
-  :func:`make_batch_parser` (chunk-at-a-time, several times faster
-  than the per-line readers, result-identical by construction);
+* text traces, one parser class per format, each emitting rows (the
+  only event form between parser and counter) chunk by chunk or line
+  by line with identical results: :class:`LttngParser` (LTTng /
+  babeltrace text), :class:`StraceParser` (strace text) and
+  :class:`SyzkallerParser` (program logs, input-only);
+  :func:`make_batch_parser` builds one by format name and
+  :class:`EventBatch` carries their output;
 * binary ``.rbt`` container: :func:`convert_file`, :class:`RbtReader`,
   :class:`RbtWriter`, :class:`RbtDecoder` — parse once, analyze at
   decode speed.
@@ -17,9 +18,6 @@ Capture paths into the IOCov analyzer:
 
 from repro.trace.batch import (
     EventBatch,
-    LttngBatchParser,
-    StraceBatchParser,
-    SyzkallerBatchParser,
     make_batch_parser,
     make_parse_stats,
 )
@@ -46,7 +44,6 @@ from repro.trace.syzkaller import SyzkallerParser
 
 __all__ = [
     "EventBatch",
-    "LttngBatchParser",
     "LttngParseError",
     "LttngParser",
     "LttngWriter",
@@ -58,11 +55,9 @@ __all__ = [
     "RbtWriter",
     "ReplayDivergence",
     "ReplayReport",
-    "StraceBatchParser",
     "StraceParseError",
     "StraceParser",
     "SyscallEvent",
-    "SyzkallerBatchParser",
     "SyzkallerParser",
     "TraceRecorder",
     "TraceReplayer",

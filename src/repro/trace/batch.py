@@ -1,21 +1,22 @@
 """Batch-columnar trace parsing: chunk-at-a-time instead of line-at-a-time.
 
-The per-line parsers build one :class:`~repro.trace.events.SyscallEvent`
-object per record, which caps text ingest nearly an order of magnitude
-below the analyzer's counting throughput.  This module closes that gap
-by working on **event batches**:
+Building one :class:`~repro.trace.events.SyscallEvent` per record caps
+text ingest well below the analyzer's counting throughput, so every
+ingest path carries **rows** instead (see :mod:`repro.trace.events`):
 
-* :class:`EventBatch` holds a block of parsed events either as compact
-  rows (one tuple per event — what the text parsers produce) or as
-  parallel columns (what the binary ``.rbt`` decoder produces, see
-  :mod:`repro.trace.binary`).  Both views iterate identically.
-* :class:`LttngBatchParser` / :class:`StraceBatchParser` /
-  :class:`SyzkallerBatchParser` parse whole text chunks with one
-  multiline ``findall`` over a strict precompiled grammar, falling back
-  to the existing per-line parsers for any chunk that contains lines
-  the strict grammar declines.  The fallback makes every batch parse
-  *equal by construction* to the sequential per-line parse of the same
-  text: the fast path can only decline, never disagree.
+* :class:`EventBatch` holds a block of rows, or the parallel columns
+  the binary ``.rbt`` decoder produces (:mod:`repro.trace.binary`).
+* There is one parser class per text format --
+  :class:`~repro.trace.lttng.LttngParser`,
+  :class:`~repro.trace.strace.StraceParser` and
+  :class:`~repro.trace.syzkaller.SyzkallerParser`, all built on
+  :class:`~repro.trace.textparse.TextParser`.  Each parses whole text
+  chunks with one multiline ``findall`` over a strict precompiled
+  grammar and falls back to its general per-line grammar for any chunk
+  the strict one declines, so a chunk parse is *equal by construction*
+  to the line-by-line parse of the same text.
+* :func:`make_batch_parser` builds a parser by format name; this module
+  also names the classes ``LttngBatchParser`` & co.
 
 Throughput notes: the chunk grammars validate all structure inside the
 regex engine (one C call per chunk), field/argument parsing is memoized
@@ -26,618 +27,38 @@ dataclass construction.
 
 from __future__ import annotations
 
-import re
-from typing import Any, Iterable, Iterator
-
-from repro.trace.events import SyscallEvent, make_event
-from repro.trace.lttng import (
-    LttngParser,
-    _WRITER_RE_M,
-    _fast_fields,
-    _ts_ns,
-)
-from repro.trace.strace import (
-    _CALL_PATTERN as _STRACE_PATTERN,
-    _CALL_RE as _STRACE_RE,
-    _parse_arg,
-    _split_args,
-    StraceParser,
-    SYSCALL_SIGNATURES,
-)
-from repro.trace.syzkaller import (
-    _CALL_PATTERN as _SYZ_PATTERN,
-    _split_args as _syz_split_args,
-    SyzkallerParser,
-)
-from repro.vfs.errors import ERRNO_BY_NAME
-
-#: Target text-chunk size for file batch readers (characters).
-DEFAULT_CHUNK_CHARS = 1 << 20
-
-#: One parsed event as the batch parsers carry it.
-Row = tuple  # (name, args, retval, errno, pid, comm, timestamp)
-
-_ROW_FIELDS = ("name", "args", "retval", "errno", "pid", "comm", "timestamp")
-
-_MISS = object()
-
-#: Shared decimal-token -> int memo (pids, retvals repeat heavily).
-_INT_CACHE: dict[str, int] = {}
-_INT_CACHE_CAP = 65536
-
-
-def _cached_int(text: str) -> int:
-    value = _INT_CACHE.get(text)
-    if value is None:
-        value = int(text)
-        if len(_INT_CACHE) < _INT_CACHE_CAP:
-            _INT_CACHE[text] = value
-    return value
-
-
-def make_parse_stats(
-    fmt: str, skipped: int, malformed: int, unpaired: int
-) -> dict[str, Any]:
-    """Fixed-key-order parse statistics (serial/sharded byte parity)."""
-    return {
-        "format": fmt,
-        "skipped_lines": skipped,
-        "malformed_lines": malformed,
-        "unpaired_entries": unpaired,
-    }
-
-
-class EventBatch:
-    """A block of parsed syscall events.
-
-    Storage is one of two interchangeable forms:
-
-    * **rows** — a list of ``(name, args, retval, errno, pid, comm,
-      timestamp)`` tuples.  The text batch parsers produce this: one
-      append per event, no object construction.
-    * **columns** — parallel sequences per field (numeric fields as
-      ``array('q')`` where they fit), with syscall args held as
-      per-key columns.  The binary decoder produces this without any
-      per-event Python work; argument dicts are materialized lazily
-      the first time rows are requested.
-    """
-
-    __slots__ = ("_rows", "_cols", "_arg_cols")
-
-    def __init__(self, rows=None, cols=None, arg_cols=None) -> None:
-        self._rows = rows
-        #: (names, argses, retvals, errnos, pids, comms, timestamps)
-        self._cols = cols
-        self._arg_cols = arg_cols
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: list[Row]) -> "EventBatch":
-        return cls(rows=rows)
-
-    @classmethod
-    def from_events(cls, events: Iterable[SyscallEvent]) -> "EventBatch":
-        return cls(
-            rows=[
-                (e.name, e.args, e.retval, e.errno, e.pid, e.comm, e.timestamp)
-                for e in events
-            ]
-        )
-
-    @classmethod
-    def from_columns(
-        cls, names, argses, retvals, errnos, pids, comms, timestamps, arg_cols=None
-    ) -> "EventBatch":
-        """Columnar constructor (binary decode path).
-
-        *argses* may be None when *arg_cols* (the per-key columns, see
-        :mod:`repro.trace.binary`) is given; dicts are then built
-        lazily on first row access.
-        """
-        return cls(
-            cols=[names, argses, retvals, errnos, pids, comms, timestamps],
-            arg_cols=arg_cols,
-        )
-
-    # -- access --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        return len(self._cols[0])
-
-    def _materialize_args(self) -> list:
-        cols = self._cols
-        if cols[1] is None:
-            n = len(cols[0])
-            argses = [dict() for _ in range(n)]
-            for key, fill in self._arg_cols:
-                fill(key, argses)
-            cols[1] = argses
-        return cols[1]
-
-    def rows(self) -> list[Row]:
-        """The batch as row tuples (materialized once for columns)."""
-        if self._rows is None:
-            names, _, retvals, errnos, pids, comms, timestamps = self._cols
-            self._rows = list(
-                zip(names, self._materialize_args(), retvals, errnos, pids, comms, timestamps)
-            )
-        return self._rows
-
-    def iter_rows(self) -> Iterator[Row]:
-        if self._rows is not None:
-            return iter(self._rows)
-        names, _, retvals, errnos, pids, comms, timestamps = self._cols
-        return zip(names, self._materialize_args(), retvals, errnos, pids, comms, timestamps)
-
-    def iter_events(self) -> Iterator[SyscallEvent]:
-        """Yield one :class:`SyscallEvent` per row (compat shim)."""
-        for name, args, retval, errno, pid, comm, timestamp in self.iter_rows():
-            yield make_event(
-                name, args, retval, errno, pid=pid, comm=comm, timestamp=timestamp
-            )
-
-    def to_events(self) -> list[SyscallEvent]:
-        return list(self.iter_events())
-
-    def event_at(self, index: int) -> SyscallEvent:
-        name, args, retval, errno, pid, comm, timestamp = self.rows()[index]
-        return make_event(
-            name, args, retval, errno, pid=pid, comm=comm, timestamp=timestamp
-        )
-
-
-def _read_chunks(path: str, chunk_chars: int) -> Iterator[str]:
-    """Yield newline-aligned text chunks of roughly *chunk_chars*."""
-    with open(path, encoding="utf-8") as handle:
-        while True:
-            chunk = handle.read(chunk_chars)
-            if not chunk:
-                return
-            if chunk[-1] != "\n":
-                chunk += handle.readline()
-            yield chunk
-
-
-def _line_count(chunk: str) -> int:
-    lines = chunk.count("\n")
-    if chunk and not chunk.endswith("\n"):
-        lines += 1
-    return lines
-
-
-class LttngBatchParser:
-    """Chunk-mode LTTng text parsing into :class:`EventBatch` rows.
-
-    Equivalent to ``LttngParser().parse(...)`` on the same lines: same
-    FIFO entry/exit pairing per (pid, name), same orphan-exit skipping,
-    same skipped/malformed accounting.  The pairing table lives on the
-    instance so pairs may span chunk boundaries.
-    """
-
-    format = "lttng"
-
-    def __init__(self) -> None:
-        #: per-line fallback (and the skipped/malformed counters for
-        #: lines the strict grammar declines).
-        self._parser = LttngParser()
-        self._pending: dict[tuple[int, str], list] = {}
-        self.orphan_exits = 0
-        self.events_parsed = 0
-
-    # -- counters ------------------------------------------------------------
-
-    @property
-    def skipped_lines(self) -> int:
-        """Matches ``LttngParser.parse``: rejects plus orphan exits."""
-        return self._parser.skipped_lines + self.orphan_exits
-
-    @property
-    def malformed_lines(self) -> int:
-        return self._parser.malformed_lines
-
-    @property
-    def unpaired_entries(self) -> int:
-        """Entry lines still awaiting their exits."""
-        return sum(len(queue) for queue in self._pending.values())
-
-    def stats(self) -> dict[str, Any]:
-        return make_parse_stats(
-            self.format, self.skipped_lines, self.malformed_lines, self.unpaired_entries
-        )
-
-    # -- parsing -------------------------------------------------------------
-
-    def parse_chunk(self, chunk: str) -> list[Row]:
-        """Parse one newline-aligned text chunk into rows."""
-        matches = _WRITER_RE_M.findall(chunk)
-        if len(matches) == _line_count(chunk):
-            rows = self._consume_matches(matches)
-            if rows is not None:
-                self.events_parsed += len(rows)
-                return rows
-        rows = self._consume_lines(chunk.splitlines())
-        self.events_parsed += len(rows)
-        return rows
-
-    def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows = self._consume_lines(lines)
-        self.events_parsed += len(rows)
-        return rows
-
-    def iter_file_batches(
-        self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
-    ) -> Iterator[EventBatch]:
-        for chunk in _read_chunks(path, chunk_chars):
-            rows = self.parse_chunk(chunk)
-            if rows:
-                yield EventBatch.from_rows(rows)
-
-    def _consume_matches(self, matches: list[tuple]) -> list[Row] | None:
-        """Fast path over findall tuples; None means redo per-line.
-
-        Pairing state mutates as matches are consumed, so the pending
-        table is snapshotted up front and restored on decline.
-        """
-        pending = self._pending
-        snapshot = {key: list(queue) for key, queue in pending.items()}
-        orphans_before = self.orphan_exits
-        rows: list[Row] = []
-        append = rows.append
-        ts_ns = _ts_ns
-        cached_int = _cached_int
-        fast_fields = _fast_fields
-        for ts, nsf, xname, xcomm, xpid, xret, ename, ecomm, epid, body in matches:
-            if xname:
-                # Exit line: ret was captured by the grammar.
-                key = (cached_int(xpid), xname)
-                queue = pending.get(key)
-                if not queue:
-                    # Exit without entry: trace started mid-call; the
-                    # sequential parser skips it too.
-                    self.orphan_exits += 1
-                    continue
-                entry_ns, entry_comm, fields = queue.pop(0)
-                ret = cached_int(xret)
-                append(
-                    (
-                        xname,
-                        fields,
-                        ret,
-                        -ret if ret < 0 else 0,
-                        key[0],
-                        entry_comm or xcomm,
-                        entry_ns,
-                    )
-                )
-            else:
-                if "{" in body or "}" in body or "\\" in body:
-                    fields = None
-                else:
-                    fields = fast_fields(body)
-                if fields is None:
-                    # Odd field block: the permissive grammar must
-                    # decide what this chunk means.
-                    self._pending = snapshot
-                    self.orphan_exits = orphans_before
-                    return None
-                key = (cached_int(epid), ename)
-                queue = pending.get(key)
-                entry = (ts_ns(ts) + int(nsf), ecomm, fields)
-                if queue is None:
-                    pending[key] = [entry]
-                else:
-                    queue.append(entry)
-        return rows
-
-    def _consume_lines(self, lines: Iterable[str]) -> list[Row]:
-        """Per-line fallback sharing the pairing table and counters."""
-        rows: list[Row] = []
-        parser = self._parser
-        pending = self._pending
-        for line in lines:
-            parsed = parser.parse_line(line)
-            if parsed is None:
-                continue
-            kind, name, ns, pid, comm, fields = parsed
-            key = (pid, name)
-            if kind == "entry":
-                pending.setdefault(key, []).append((ns, comm, fields))
-                continue
-            queue = pending.get(key)
-            if not queue:
-                self.orphan_exits += 1
-                continue
-            entry_ns, entry_comm, args = queue.pop(0)
-            ret = int(fields.get("ret", 0))
-            rows.append(
-                (name, args, ret, -ret if ret < 0 else 0, pid, entry_comm or comm, entry_ns)
-            )
-        return rows
-
-
-#: Chunk-mode variants of the per-line grammars.
-_STRACE_RE_M = re.compile("(?m)" + _STRACE_PATTERN)
-_SYZ_RE_M = re.compile("(?m)" + _SYZ_PATTERN)
-
-#: Argument keys the per-line parsers drop (buffer contents are not
-#: coverage-relevant).
-_STRACE_DROP_KEYS = frozenset({"buf", "statbuf", "vec"})
-_SYZ_DROP_KEYS = frozenset({"buf", "vec"})
-
-#: Positional fallback names, preallocated for the common arities.
-_ARGN = tuple(f"arg{i}" for i in range(16))
-
-#: strace argument-token -> parsed value memo (flag expressions,
-#: AT_FDCWD, fds and modes repeat; values are immutable).
-_STRACE_ARG_CACHE: dict[str, Any] = {}
-_ARG_CACHE_CAP = 16384
-
-#: Tokens in one strace argument list: maximal runs of quoted strings
-#: and non-comma text.  When joining the tokens back with "," exactly
-#: reconstructs the argument text, the token boundaries provably sit at
-#: top-level commas and the fast split equals `_split_args`.
-_STRACE_TOKEN_RE = re.compile(r'(?:"(?:[^"\\]|\\.)*"|[^",])+|"')
-#: Any bracket (opener *or* closer: a stray closer changes the
-#: char-loop splitter's depth) routes to the char-loop splitter.
-_BRACKET_RE = re.compile(r"[()\[\]{}]")
-
-#: Same reconstruction trick for syzkaller, with single-level bracket
-#: groups allowed (pointer arguments carry parens) and escape-aware
-#: quoted strings matching the char-loop splitter's escape handling.
-_SYZ_TOKEN_RE = re.compile(
-    r"(?:'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
-    r"|\([^()]*\)|\[[^][]*\]|\{[^{}]*\}|[^,'\"()\[\]{}])+"
-)
-
-
-def _fast_split_strace(text: str) -> list[str]:
-    if not text:
-        return []
-    if _BRACKET_RE.search(text) is None:
-        tokens = _STRACE_TOKEN_RE.findall(text)
-        if ",".join(tokens) == text:
-            return [token.strip() for token in tokens]
-    return _split_args(text)
-
-
-def _fast_split_syz(text: str) -> list[str]:
-    if not text:
-        return []
-    tokens = _SYZ_TOKEN_RE.findall(text)
-    if ",".join(tokens) == text:
-        return [token.strip() for token in tokens]
-    return _syz_split_args(text)
-
-
-def _strace_arg_value(token: str) -> Any:
-    if token and token[0] == '"' and "\\" not in token:
-        # Truncated-string ellipsis strip without the escape decoder.
-        return token[1 : token.rfind('"')]
-    value = _STRACE_ARG_CACHE.get(token, _MISS)
-    if value is _MISS:
-        value = _parse_arg(token)
-        if len(_STRACE_ARG_CACHE) < _ARG_CACHE_CAP:
-            _STRACE_ARG_CACHE[token] = value
-    return value
-
-
-class StraceBatchParser:
-    """Chunk-mode strace parsing into :class:`EventBatch` rows."""
-
-    format = "strace"
-
-    def __init__(self) -> None:
-        self._parser = StraceParser()
-        self.events_parsed = 0
-
-    @property
-    def skipped_lines(self) -> int:
-        return self._parser.skipped_lines
-
-    @property
-    def malformed_lines(self) -> int:
-        return self._parser.malformed_lines
-
-    unpaired_entries = 0
-
-    def stats(self) -> dict[str, Any]:
-        return make_parse_stats(
-            self.format, self.skipped_lines, self.malformed_lines, 0
-        )
-
-    def parse_chunk(self, chunk: str) -> list[Row]:
-        # parse_line short-circuits interrupted-call halves *before*
-        # the grammar, so their presence anywhere sends the chunk down
-        # the per-line path.
-        if "<unfinished ...>" not in chunk and "resumed>" not in chunk:
-            matches = _STRACE_RE_M.findall(chunk)
-            if len(matches) == _line_count(chunk):
-                rows: list[Row] = []
-                build = self._row_from_groups
-                for groups in matches:
-                    row = build(*groups)
-                    if row is not None:
-                        rows.append(row)
-                self.events_parsed += len(rows)
-                return rows
-        rows = self._consume_lines(chunk.splitlines())
-        self.events_parsed += len(rows)
-        return rows
-
-    def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows = self._consume_lines(lines)
-        self.events_parsed += len(rows)
-        return rows
-
-    def iter_file_batches(
-        self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
-    ) -> Iterator[EventBatch]:
-        for chunk in _read_chunks(path, chunk_chars):
-            rows = self.parse_chunk(chunk)
-            if rows:
-                yield EventBatch.from_rows(rows)
-
-    def _row_from_groups(self, pid_s, ts, name, argstr, ret_s, errname) -> Row | None:
-        if ret_s == "?":
-            self._parser.skipped_lines += 1
-            return None
-        signature = SYSCALL_SIGNATURES.get(name)
-        args: dict[str, Any] = {}
-        if signature is None:
-            for index, token in enumerate(_fast_split_strace(argstr)):
-                key = _ARGN[index] if index < 16 else f"arg{index}"
-                args[key] = _strace_arg_value(token)
-        else:
-            sig_len = len(signature)
-            for index, token in enumerate(_fast_split_strace(argstr)):
-                if index < sig_len:
-                    key = signature[index]
-                    if key in _STRACE_DROP_KEYS:
-                        continue
-                else:
-                    key = _ARGN[index] if index < 16 else f"arg{index}"
-                args[key] = _strace_arg_value(token)
-        retval = _cached_int(ret_s)
-        err = 0
-        if retval < 0:
-            err = ERRNO_BY_NAME.get(errname, -retval) if errname else -retval
-            retval = -err
-        pid = _cached_int(pid_s) if pid_s else 0
-        return (name, args, retval, err, pid, "", 0)
-
-    def _consume_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows: list[Row] = []
-        parser = self._parser
-        for line in lines:
-            event = parser.parse_line(line)
-            if event is not None:
-                rows.append(
-                    (
-                        event.name,
-                        event.args,
-                        event.retval,
-                        event.errno,
-                        event.pid,
-                        event.comm,
-                        event.timestamp,
-                    )
-                )
-        return rows
-
-
-class SyzkallerBatchParser:
-    """Chunk-mode syzkaller program parsing (input-only events).
-
-    Resource bindings are order-dependent, so the chunk fast path
-    replays matches strictly in line order against the same resource
-    table the per-line parser would build.
-    """
-
-    format = "syzkaller"
-
-    def __init__(self, resources=None) -> None:
-        self._parser = SyzkallerParser(resources)
-        self.events_parsed = 0
-
-    @property
-    def skipped_lines(self) -> int:
-        return self._parser.skipped_lines
-
-    @property
-    def malformed_lines(self) -> int:
-        return self._parser.malformed_lines
-
-    unpaired_entries = 0
-
-    def stats(self) -> dict[str, Any]:
-        return make_parse_stats(
-            self.format, self.skipped_lines, self.malformed_lines, 0
-        )
-
-    def parse_chunk(self, chunk: str) -> list[Row]:
-        # Comments would be stripped by parse_line before matching, so
-        # their presence sends the chunk down the per-line path.
-        if "#" not in chunk:
-            matches = _SYZ_RE_M.findall(chunk)
-            if len(matches) == _line_count(chunk):
-                rows: list[Row] = []
-                build = self._row_from_groups
-                for groups in matches:
-                    rows.append(build(*groups))
-                self.events_parsed += len(rows)
-                return rows
-        rows = self._consume_lines(chunk.splitlines())
-        self.events_parsed += len(rows)
-        return rows
-
-    def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows = self._consume_lines(lines)
-        self.events_parsed += len(rows)
-        return rows
-
-    def iter_file_batches(
-        self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
-    ) -> Iterator[EventBatch]:
-        for chunk in _read_chunks(path, chunk_chars):
-            rows = self.parse_chunk(chunk)
-            if rows:
-                yield EventBatch.from_rows(rows)
-
-    def _row_from_groups(self, res, name, argstr) -> Row:
-        parser = self._parser
-        resources = parser._resources
-        decode = parser._decode_arg
-        signature = SYSCALL_SIGNATURES.get(name)
-        args: dict[str, Any] = {}
-        sig_len = len(signature) if signature is not None else 0
-        for index, token in enumerate(_fast_split_syz(argstr)):
-            if index < sig_len:
-                key = signature[index]
-                if key in _SYZ_DROP_KEYS:
-                    continue
-            else:
-                key = _ARGN[index] if index < 16 else f"arg{index}"
-            value = resources.get(token, _MISS)
-            if value is _MISS:
-                value = decode(token)
-            args[key] = value
-        if res:
-            resources[res] = 3 + len(resources)
-        return (name, args, 0, 0, 0, "", 0)
-
-    def _consume_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows: list[Row] = []
-        parser = self._parser
-        for line in lines:
-            event = parser.parse_line(line)
-            if event is not None:
-                rows.append(
-                    (
-                        event.name,
-                        event.args,
-                        event.retval,
-                        event.errno,
-                        event.pid,
-                        event.comm,
-                        event.timestamp,
-                    )
-                )
-        return rows
-
-
-#: format name -> batch parser factory
-BATCH_PARSERS = {
-    "lttng": LttngBatchParser,
-    "strace": StraceBatchParser,
-    "syzkaller": SyzkallerBatchParser,
+from repro.trace.events import EventBatch, Row
+from repro.trace.lttng import LttngParser
+from repro.trace.strace import StraceParser
+from repro.trace.syzkaller import SyzkallerParser
+from repro.trace.textparse import DEFAULT_CHUNK_CHARS, TextParser, make_parse_stats
+
+__all__ = [
+    "BATCH_PARSERS",
+    "DEFAULT_CHUNK_CHARS",
+    "EventBatch",
+    "LttngBatchParser",
+    "Row",
+    "StraceBatchParser",
+    "SyzkallerBatchParser",
+    "make_batch_parser",
+    "make_parse_stats",
+]
+
+LttngBatchParser = LttngParser
+StraceBatchParser = StraceParser
+SyzkallerBatchParser = SyzkallerParser
+
+#: format name -> parser class
+BATCH_PARSERS: dict[str, type[TextParser]] = {
+    "lttng": LttngParser,
+    "strace": StraceParser,
+    "syzkaller": SyzkallerParser,
 }
 
 
-def make_batch_parser(fmt: str):
-    """Build the batch parser for *fmt* (``lttng``/``strace``/``syzkaller``)."""
+def make_batch_parser(fmt: str) -> TextParser:
+    """Build the parser for *fmt* (``lttng``/``strace``/``syzkaller``)."""
     try:
         return BATCH_PARSERS[fmt]()
     except KeyError:

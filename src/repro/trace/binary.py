@@ -52,13 +52,7 @@ import sys
 from array import array
 from typing import Any, BinaryIO, Iterable, Iterator
 
-from repro.trace.batch import (
-    DEFAULT_CHUNK_CHARS,
-    EventBatch,
-    Row,
-    _read_chunks,
-    make_batch_parser,
-)
+from repro.trace.batch import DEFAULT_CHUNK_CHARS, EventBatch, Row, make_batch_parser
 
 MAGIC = b"\x89RBT\r\n\x1a\n"
 VERSION = 1
@@ -664,8 +658,8 @@ def convert_file(
         # written after the prefix (encoded frames are smaller than the
         # text they replace).
         frames: list[bytes] = []
-        for chunk in _read_chunks(src, chunk_chars):
-            pending.extend(parser.parse_chunk(chunk))
+        for batch in parser.iter_file_batches(src, chunk_chars):
+            pending.extend(batch.rows())
             while len(pending) >= frame_events:
                 frames.append(encode_batch(pending[:frame_events]))
                 events += frame_events

@@ -21,9 +21,10 @@ pairs them back up (per pid, in order) into flattened events.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Iterable, TextIO
 
-from repro.trace.events import SyscallEvent, make_event
+from repro.trace.events import Row, SyscallEvent
+from repro.trace.textparse import TextParser, cached_int, line_count
 
 _NS_PER_SEC = 1_000_000_000
 
@@ -227,42 +228,63 @@ class LttngParseError(ValueError):
 
 #: An exit line that found no pending entry (its entry precedes the
 #: current stream — possible when parsing a mid-trace shard).
-#: ``fields`` is the exit field dict (carrying ``ret``).
-OrphanExit = tuple[int, str, int, str, dict]  # (ns, name, pid, comm, fields)
+OrphanExit = tuple[str, int, str, int]  # (name, pid, comm, ret)
 
 
-class LttngParser:
-    """Parses the babeltrace-like text format back into events.
+class LttngParser(TextParser):
+    """Parses the babeltrace-like text format into rows.
 
-    Entry and exit lines are paired per (pid, syscall-name) in file
-    order, tolerating interleaving across pids the way a real multi-CPU
-    trace interleaves.  Unpaired entries (a syscall still in flight
-    when the trace stopped) are dropped, matching the prototype's
-    behaviour.
+    Entry and exit lines are paired per (pid, syscall-name) in FIFO
+    order through :attr:`pending`, a table that persists across chunks
+    and calls, so a trace fed in any newline-aligned pieces pairs as it
+    would in one pass, interleaving across pids the way a real
+    multi-CPU trace interleaves.  Pairing is written twice: inlined in
+    the chunk fast path (:meth:`_chunk_rows`) and in the per-line step
+    (:meth:`_line_row`) the general loop runs.  Entries still in
+    flight when the input ends stay in :attr:`pending` (counted as
+    ``unpaired_entries``), matching the prototype's behaviour.
 
-    For sharded analysis, :meth:`parse_records` additionally surfaces
-    the pairing residue a mid-file shard produces: exit lines whose
-    entries precede the shard (*orphan exits*) and entry lines whose
-    exits follow it (left in :attr:`pending_entries` after iteration).
-    The parallel executor stitches these back together across shard
-    boundaries; plain :meth:`parse` treats orphan exits as skipped
-    lines, exactly as before.
+    An exit with no pending entry (*orphan exit*: the trace started
+    mid-call) is counted as a skipped line and forgotten — a
+    long-lived daemon must not accumulate them.  A sharded worker sets
+    :attr:`orphans` to a list instead; orphan exits are then kept
+    there as ``(rows_before, OrphanExit)`` for the stitch phase, where
+    *rows_before* counts the rows emitted ahead of the exit.
+
+    Args:
+        strict: raise :class:`LttngParseError` on unparseable lines
+            instead of counting them malformed.
+        fast: use the writer-shaped fast grammars; False forces every
+            line through the permissive regex grammar (benchmarks use
+            this to measure the legacy path).
     """
 
-    def __init__(self, strict: bool = False, fast: bool = True) -> None:
-        self.strict = strict
-        #: use the string-ops fast path for writer-shaped lines; False
-        #: forces every line through the regex grammar (benchmarks use
-        #: this to measure the legacy path).
-        self.fast = fast
-        self.skipped_lines = 0
-        #: nonblank lines the grammar rejected (a subset of skipped).
-        self.malformed_lines = 0
-        #: (pid, name) -> pending entry records, set after an iteration
-        #: of :meth:`parse_records` is exhausted.
-        self.pending_entries: dict[tuple[int, str], list[tuple[int, str, dict[str, Any]]]] = {}
+    format = "lttng"
 
-    def parse_line(self, line: str) -> tuple[str, str, int, int, str, dict[str, Any]] | None:
+    def __init__(self, strict: bool = False, fast: bool = True) -> None:
+        super().__init__()
+        self.strict = strict
+        self.fast = fast
+        #: (pid, name) -> entries awaiting exits: (ns, comm, args).
+        self.pending: dict[tuple[int, str], list[tuple[int, str, dict[str, Any]]]] = {}
+        self.orphans: list[tuple[int, OrphanExit]] | None = None
+
+    # Bound on this class itself (not only inherited) so instrumentation
+    # such as perfbench's tracer can wrap the LTTng file reader alone.
+    iter_file_batches = TextParser.iter_file_batches
+
+    @property
+    def unpaired_entries(self) -> int:
+        """Entry lines still awaiting their exits."""
+        return sum(len(queue) for queue in self.pending.values())
+
+    def _orphan(self, name: str, pid: int, comm: str, ret: int, rows_before: int) -> None:
+        if self.orphans is None:
+            self.skipped_lines += 1
+        else:
+            self.orphans.append((rows_before, (name, pid, comm, ret)))
+
+    def _parse_record(self, line: str) -> tuple[str, str, int, int, str, dict[str, Any]] | None:
         """Parse one line into (kind, name, ts, pid, comm, fields)."""
         stripped = line.strip()
         if self.fast:
@@ -327,74 +349,79 @@ class LttngParser:
             return None
         return kind, match["name"], ns, pid, comm, fields
 
-    def parse_records(
-        self, lines: Iterable[str]
-    ) -> Iterator[tuple[str, SyscallEvent | OrphanExit]]:
-        """Yield ``("event", event)`` / ``("orphan", exit_info)`` records.
-
-        Records appear in exit-line order — the order the sequential
-        parser yields events — so a consumer can stitch shard streams
-        back together position-exactly.  After exhaustion,
-        :attr:`pending_entries` holds entries still awaiting exits.
-        """
-        pending: dict[tuple[int, str], list[tuple[int, str, dict[str, Any]]]] = {}
-        self.pending_entries = pending
-        for line in lines:
-            parsed = self.parse_line(line)
-            if parsed is None:
-                continue
-            kind, name, ns, pid, comm, fields = parsed
-            key = (pid, name)
-            if kind == "entry":
-                pending.setdefault(key, []).append((ns, comm, fields))
-                continue
-            queue = pending.get(key)
-            if not queue:
-                # Exit without entry: either the trace started mid-call
-                # (sequential parse skips it) or this is a mid-file
-                # shard whose entry lives in the previous shard.
-                yield "orphan", (ns, name, pid, comm, fields)
-                continue
-            entry_ns, entry_comm, args = queue.pop(0)
-            yield "event", pair_event(name, args, fields, pid, entry_comm or comm, entry_ns)
-
-    def parse(self, lines: Iterable[str]) -> Iterator[SyscallEvent]:
-        """Yield flattened events from entry/exit line pairs."""
-        for kind, payload in self.parse_records(lines):
-            if kind == "event":
-                yield payload  # type: ignore[misc]
+    def _line_row(self, line: str) -> Row | None:
+        """The per-line pairing step of the general loop."""
+        parsed = self._parse_record(line)
+        if parsed is None:
+            return None
+        kind, name, ns, pid, comm, fields = parsed
+        key = (pid, name)
+        queue = self.pending.get(key)
+        if kind == "entry":
+            if queue is None:
+                self.pending[key] = [(ns, comm, fields)]
             else:
-                # Exit without entry: trace started mid-call; skip.
-                self.skipped_lines += 1
+                queue.append((ns, comm, fields))
+            return None
+        ret = fields.get("ret", 0)
+        if not queue:
+            self._orphan(name, pid, comm, ret, self.events_parsed)
+            return None
+        entry_ns, entry_comm, args = queue.pop(0)
+        return (name, args, ret, -ret if ret < 0 else 0, pid, entry_comm or comm, entry_ns)
 
-    def parse_text(self, text: str) -> list[SyscallEvent]:
-        return list(self.parse(text.splitlines()))
+    def _chunk_rows(self, chunk: str) -> list[Row] | None:
+        """Fast path over the chunk's ``findall`` tuples.
 
-    def iter_parse_file(self, path: str) -> Iterator[SyscallEvent]:
-        """Stream events from disk without materializing the trace."""
-        with open(path, encoding="utf-8") as handle:
-            yield from self.parse(handle)
-
-    def parse_file(self, path: str) -> list[SyscallEvent]:
-        return list(self.iter_parse_file(path))
-
-
-def pair_event(
-    name: str,
-    entry_args: dict[str, Any],
-    exit_fields: Mapping[str, Any],
-    pid: int,
-    comm: str,
-    entry_ns: int,
-) -> SyscallEvent:
-    """Flatten one entry/exit pair into an event (shared with fixup)."""
-    retval = int(exit_fields.get("ret", 0))
-    return make_event(
-        name,
-        entry_args,
-        retval,
-        -retval if retval < 0 else 0,
-        pid=pid,
-        comm=comm,
-        timestamp=entry_ns,
-    )
+        Pairing state mutates as matches are consumed, so the pending
+        table, the skip counter and the kept orphans are restored when
+        the chunk is declined.
+        """
+        if not self.fast:
+            return None
+        matches = _WRITER_RE_M.findall(chunk)
+        if len(matches) != line_count(chunk):
+            return None
+        pending = self.pending
+        snapshot = {key: list(queue) for key, queue in pending.items()}
+        skipped = self.skipped_lines
+        kept = len(self.orphans) if self.orphans is not None else 0
+        rows_before = self.events_parsed
+        rows: list[Row] = []
+        append = rows.append
+        ts_ns = _ts_ns
+        to_int = cached_int
+        fast_fields = _fast_fields
+        for ts, nsf, xname, xcomm, xpid, xret, ename, ecomm, epid, body in matches:
+            if xname:
+                # Exit line: ret was captured by the grammar.
+                pid = to_int(xpid)
+                ret = to_int(xret)
+                queue = pending.get((pid, xname))
+                if not queue:
+                    self._orphan(xname, pid, xcomm, ret, rows_before + len(rows))
+                    continue
+                entry_ns, entry_comm, fields = queue.pop(0)
+                errno = -ret if ret < 0 else 0
+                append((xname, fields, ret, errno, pid, entry_comm or xcomm, entry_ns))
+            else:
+                if "{" in body or "}" in body or "\\" in body:
+                    fields = None
+                else:
+                    fields = fast_fields(body)
+                if fields is None:
+                    # Odd field block: the permissive grammar must
+                    # decide what this chunk means.
+                    self.pending = snapshot
+                    self.skipped_lines = skipped
+                    if self.orphans is not None:
+                        del self.orphans[kept:]
+                    return None
+                key = (to_int(epid), ename)
+                queue = pending.get(key)
+                entry = (ts_ns(ts) + int(nsf), ecomm, fields)
+                if queue is None:
+                    pending[key] = [entry]
+                else:
+                    queue.append(entry)
+        return rows

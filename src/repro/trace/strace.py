@@ -21,9 +21,10 @@ partitioners see the same argument names regardless of capture tool.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, Iterator
+from typing import Any
 
-from repro.trace.events import SyscallEvent, make_event
+from repro.trace.events import Row
+from repro.trace.textparse import TextParser, cached_int, line_count
 from repro.vfs import constants
 from repro.vfs.errors import ERRNO_BY_NAME
 
@@ -87,7 +88,7 @@ _SYMBOLS["AT_EMPTY_PATH"] = constants.AT_EMPTY_PATH
 _SYMBOLS["O_NDELAY"] = constants.O_NDELAY
 
 #: line shape:  name(args) = ret [ERRNO (message)]
-#: (kept as a plain string so the batch parser can recompile it in
+#: (kept as a plain string so it can be recompiled in
 #: multiline chunk mode; group order: pid, ts, name, args, ret, errname)
 _CALL_PATTERN = (
     r"^(?:\[pid\s+(?P<pid>\d+)\]\s+)?"
@@ -97,6 +98,8 @@ _CALL_PATTERN = (
     r"(?:\s+(?P<errname>E[A-Z0-9]+)\s*(?:\([^)]*\))?)?\s*$"
 )
 _CALL_RE = re.compile(_CALL_PATTERN)
+#: Chunk-mode variant for `findall` over whole reads.
+_CALL_RE_M = re.compile("(?m)" + _CALL_PATTERN)
 
 #: Lines that legitimately produce no event (signal/exit annotations,
 #: interrupted-call halves, calls with unknown return) — skipped but
@@ -181,18 +184,64 @@ def _parse_arg(text: str) -> Any:
         return text
 
 
-class StraceParser:
-    """Parses strace `-f -e trace=...` style output into events."""
+#: Argument keys dropped from events (buffer contents are not
+#: coverage-relevant, matching LTTng).
+_DROP_KEYS = frozenset({"buf", "statbuf", "vec"})
+
+#: Positional fallback names, preallocated for the common arities.
+ARGN = tuple(f"arg{i}" for i in range(16))
+
+_MISS = object()
+
+#: argument-token -> parsed value memo (flag expressions, AT_FDCWD,
+#: fds and modes repeat; values are immutable).
+_ARG_CACHE: dict[str, Any] = {}
+_ARG_CACHE_CAP = 16384
+
+#: Tokens in one argument list: maximal runs of quoted strings and
+#: non-comma text.  When joining the tokens back with "," exactly
+#: reconstructs the argument text, the token boundaries provably sit at
+#: top-level commas and the fast split equals `_split_args`.
+_TOKEN_RE = re.compile(r'(?:"(?:[^"\\]|\\.)*"|[^",])+')
+#: Any bracket (opener *or* closer: a stray closer changes the
+#: char-loop splitter's depth) routes to the char-loop splitter.
+_BRACKET_RE = re.compile(r"[()\[\]{}]")
+
+
+def _fast_split(text: str) -> list[str]:
+    if not text:
+        return []
+    if _BRACKET_RE.search(text) is None:
+        tokens = _TOKEN_RE.findall(text)
+        # A blank last token is dropped by `_split_args`: leave it to it.
+        if ",".join(tokens) == text and not tokens[-1].isspace():
+            return [token.strip() for token in tokens]
+    return _split_args(text)
+
+
+def _arg_value(token: str) -> Any:
+    if token and token[0] == '"' and "\\" not in token:
+        # Truncated-string ellipsis strip without the escape decoder.
+        return token[1 : token.rfind('"')]
+    value = _ARG_CACHE.get(token, _MISS)
+    if value is _MISS:
+        value = _parse_arg(token)
+        if len(_ARG_CACHE) < _ARG_CACHE_CAP:
+            _ARG_CACHE[token] = value
+    return value
+
+
+class StraceParser(TextParser):
+    """Parses strace `-f -e trace=...` style output into rows."""
+
+    format = "strace"
 
     def __init__(self, strict: bool = False) -> None:
+        super().__init__()
         self.strict = strict
-        self.skipped_lines = 0
-        #: nonblank lines the grammar rejected that are not recognized
-        #: noise (signals, interrupted calls) — a subset of skipped.
-        self.malformed_lines = 0
 
-    def parse_line(self, line: str) -> SyscallEvent | None:
-        """Parse one completed-call line; returns None for noise lines."""
+    def _line_row(self, line: str) -> Row | None:
+        """Parse one completed-call line; None for noise lines."""
         line = line.strip()
         if not line or line.endswith("<unfinished ...>") or "resumed>" in line:
             self.skipped_lines += 1
@@ -205,47 +254,52 @@ class StraceParser:
             if not line.startswith(_NOISE_PREFIXES) and not line.endswith("= ?"):
                 self.malformed_lines += 1
             return None
-        name = match["name"]
-        raw_args = _split_args(match["args"])
-        signature = SYSCALL_SIGNATURES.get(name)
-        args: dict[str, Any] = {}
-        for index, token in enumerate(raw_args):
-            if signature and index < len(signature):
-                key = signature[index]
-            else:
-                key = f"arg{index}"
-            args[key] = _parse_arg(token)
-        # Buffer contents are not coverage-relevant; drop them like LTTng.
-        args.pop("buf", None)
-        args.pop("statbuf", None)
-        args.pop("vec", None)
+        return self._row_from_groups(_split_args, _parse_arg, *match.groups())
 
-        ret_text = match["ret"]
-        if ret_text == "?":
+    def _chunk_rows(self, chunk: str) -> list[Row] | None:
+        # _line_row short-circuits interrupted-call halves *before* the
+        # grammar, so their presence anywhere declines the chunk.
+        if "<unfinished ...>" in chunk or "resumed>" in chunk:
+            return None
+        matches = _CALL_RE_M.findall(chunk)
+        if len(matches) != line_count(chunk):
+            return None
+        rows: list[Row] = []
+        build = self._row_from_groups
+        for groups in matches:
+            row = build(_fast_split, _arg_value, *groups)
+            if row is not None:
+                rows.append(row)
+        return rows
+
+    def _row_from_groups(
+        self, split, value, pid_s, ts, name, argstr, ret_s, errname
+    ) -> Row | None:
+        """Build the row of one matched call.
+
+        The per-line grammar passes the reference tokenizer and decoder
+        (:func:`_split_args`, :func:`_parse_arg`); the chunk fast path
+        passes their shortcuts (:func:`_fast_split`, :func:`_arg_value`),
+        so the chunk-parity tests hold the shortcuts to the reference.
+        """
+        if ret_s == "?":
             self.skipped_lines += 1
             return None
-        retval = int(ret_text)
+        signature = SYSCALL_SIGNATURES.get(name) or ()
+        sig_len = len(signature)
+        args: dict[str, Any] = {}
+        for index, token in enumerate(split(argstr)):
+            if index < sig_len:
+                key = signature[index]
+                if key in _DROP_KEYS:
+                    continue
+            else:
+                key = ARGN[index] if index < 16 else f"arg{index}"
+            args[key] = value(token)
+        retval = cached_int(ret_s)
         err = 0
         if retval < 0:
-            errname = match["errname"]
             err = ERRNO_BY_NAME.get(errname, -retval) if errname else -retval
             retval = -err
-        pid = int(match["pid"]) if match["pid"] else 0
-        return make_event(name, args, retval, err, pid=pid)
-
-    def parse(self, lines: Iterable[str]) -> Iterator[SyscallEvent]:
-        for line in lines:
-            event = self.parse_line(line)
-            if event is not None:
-                yield event
-
-    def parse_text(self, text: str) -> list[SyscallEvent]:
-        return list(self.parse(text.splitlines()))
-
-    def iter_parse_file(self, path: str) -> Iterator[SyscallEvent]:
-        """Stream events from disk without materializing the trace."""
-        with open(path, encoding="utf-8") as handle:
-            yield from self.parse(handle)
-
-    def parse_file(self, path: str) -> list[SyscallEvent]:
-        return list(self.iter_parse_file(path))
+        pid = cached_int(pid_s) if pid_s else 0
+        return (name, args, retval, err, pid, "", 0)

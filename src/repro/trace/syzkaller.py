@@ -24,16 +24,32 @@ outputs from such traces.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Mapping
 
-from repro.trace.events import SyscallEvent, make_event
-from repro.trace.strace import SYSCALL_SIGNATURES
+from repro.trace.events import Row
+from repro.trace.strace import ARGN, SYSCALL_SIGNATURES
+from repro.trace.textparse import TextParser, line_count
 from repro.vfs import constants
 
-#: (kept as a plain string so the batch parser can recompile it in
+#: (kept as a plain string so it can be recompiled in
 #: multiline chunk mode; group order: res, name, args)
 _CALL_PATTERN = r"^(?:(?P<res>r\d+)\s*=\s*)?(?P<name>\w+)\$?\w*\((?P<args>.*)\)\s*$"
 _CALL_RE = re.compile(_CALL_PATTERN)
+#: Chunk-mode variant for `findall` over whole reads.
+_CALL_RE_M = re.compile("(?m)" + _CALL_PATTERN)
+
+#: Argument keys dropped from events (buffer contents).
+_DROP_KEYS = frozenset({"buf", "vec"})
+
+#: Tokens in one argument list, allowing single-level bracket groups
+#: with no bracket or quote inside (pointer arguments carry parens) and
+#: escape-aware quoted strings matching `_split_args`.  When joining the tokens back with ","
+#: exactly reconstructs the text, the split provably equals it.
+_TOKEN_RE = re.compile(
+    r"(?:'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
+    r"|\([^()\[\]{}'\"]*\)|\[[^()\[\]{}'\"]*\]|\{[^()\[\]{}'\"]*\}"
+    r"|[^,'\"()\[\]{}])+"
+)
 
 #: syzkaller renders AT_FDCWD as the 64-bit two's complement constant.
 _AT_FDCWD_U64 = 0xFFFFFFFFFFFFFF9C
@@ -78,8 +94,22 @@ def _split_args(text: str) -> list[str]:
     return parts
 
 
-class SyzkallerParser:
-    """Parses syzkaller reproducer/log programs into input-only events.
+def _fast_split(text: str) -> list[str]:
+    if not text:
+        return []
+    tokens = _TOKEN_RE.findall(text)
+    # A blank last token is dropped by `_split_args`: leave it to it.
+    if ",".join(tokens) == text and not tokens[-1].isspace():
+        return [token.strip() for token in tokens]
+    return _split_args(text)
+
+
+class SyzkallerParser(TextParser):
+    """Parses syzkaller reproducer/log programs into input-only rows.
+
+    Resource bindings are order-dependent, so the chunk fast path
+    replays matches strictly in line order against the same resource
+    table the per-line grammar builds.
 
     Args:
         resources: initial resource table (``r0`` -> placeholder fd),
@@ -90,12 +120,10 @@ class SyzkallerParser:
             would.
     """
 
+    format = "syzkaller"
+
     def __init__(self, resources: Mapping[str, int] | None = None) -> None:
-        self.skipped_lines = 0
-        #: lines the program grammar rejected (for syzkaller every
-        #: skipped line is a grammar reject: comments and blanks
-        #: return None without counting).
-        self.malformed_lines = 0
+        super().__init__()
         #: resource name (r0) -> placeholder fd value
         self._resources: dict[str, int] = dict(resources or {})
 
@@ -124,7 +152,9 @@ class SyzkallerParser:
             return constants.AT_FDCWD
         return value
 
-    def parse_line(self, line: str) -> SyscallEvent | None:
+    def _line_row(self, line: str) -> Row | None:
+        # For syzkaller every skipped line is a grammar reject: comments
+        # and blanks return None without counting.
         line = line.split("#", 1)[0].strip()
         if not line:
             return None
@@ -133,42 +163,45 @@ class SyzkallerParser:
             self.skipped_lines += 1
             self.malformed_lines += 1
             return None
-        name = match["name"]
-        tokens = _split_args(match["args"])
-        signature = SYSCALL_SIGNATURES.get(name)
+        return self._row_from_groups(_split_args, *match.groups())
+
+    def _chunk_rows(self, chunk: str) -> list[Row] | None:
+        # Comments are stripped by _line_row before matching, so their
+        # presence anywhere declines the chunk.
+        if "#" in chunk:
+            return None
+        matches = _CALL_RE_M.findall(chunk)
+        if len(matches) != line_count(chunk):
+            return None
+        build = self._row_from_groups
+        return [build(_fast_split, *groups) for groups in matches]
+
+    def _row_from_groups(self, split, res, name, argstr) -> Row:
+        """Build the row of one matched call, binding its resource.
+
+        The per-line grammar passes the reference splitter
+        (:func:`_split_args`), the chunk fast path its shortcut
+        (:func:`_fast_split`), so the chunk-parity tests hold the
+        shortcut to the reference.
+        """
+        resources = self._resources
+        decode = self._decode_arg
+        signature = SYSCALL_SIGNATURES.get(name) or ()
+        sig_len = len(signature)
         args: dict[str, Any] = {}
-        for index, token in enumerate(tokens):
-            key = (
-                signature[index]
-                if signature and index < len(signature)
-                else f"arg{index}"
-            )
-            args[key] = self._decode_arg(token)
-        args.pop("buf", None)
-        args.pop("vec", None)
-        if match["res"]:
+        for index, token in enumerate(split(argstr)):
+            if index < sig_len:
+                key = signature[index]
+                if key in _DROP_KEYS:
+                    continue
+            else:
+                key = ARGN[index] if index < 16 else f"arg{index}"
+            args[key] = decode(token)
+        if res:
             # The program binds the result to a resource; hand out a
             # deterministic placeholder fd for later references.
-            fd = 3 + len(self._resources)
-            self._resources[match["res"]] = fd
-        return make_event(name, args, 0, 0)
-
-    def parse(self, lines: Iterable[str]) -> Iterator[SyscallEvent]:
-        for line in lines:
-            event = self.parse_line(line)
-            if event is not None:
-                yield event
-
-    def parse_text(self, text: str) -> list[SyscallEvent]:
-        return list(self.parse(text.splitlines()))
-
-    def iter_parse_file(self, path: str) -> Iterator[SyscallEvent]:
-        """Stream events from disk without materializing the trace."""
-        with open(path, encoding="utf-8") as handle:
-            yield from self.parse(handle)
-
-    def parse_file(self, path: str) -> list[SyscallEvent]:
-        return list(self.iter_parse_file(path))
+            resources[res] = 3 + len(resources)
+        return (name, args, 0, 0, 0, "", 0)
 
 
 def scan_resource_bindings(line: str, resources: dict[str, int]) -> None:
@@ -176,7 +209,7 @@ def scan_resource_bindings(line: str, resources: dict[str, int]) -> None:
 
     The cheap sequential pre-scan the sharded executor runs to give
     each shard the exact resource table a sequential parse would have
-    at its start line.  Mirrors :meth:`SyzkallerParser.parse_line`'s
+    at its start line.  Mirrors :meth:`SyzkallerParser._line_row`'s
     binding rule precisely: a full call match with an ``rN =`` prefix
     allocates placeholder fd ``3 + len(resources)``.
     """

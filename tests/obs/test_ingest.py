@@ -57,6 +57,20 @@ def test_malformed_lines_quarantined_below_grace(session):
     assert stats["degraded"] is False
 
 
+def test_feed_lines_splits_items_like_a_file_reader(session, mini_trace, mini_report):
+    """readlines() output (endings kept) and multi-line items count as lines."""
+    with open(mini_trace) as handle:
+        lines = handle.readlines()
+    session.feed_lines(lines + ["not lttng\nnor this"])
+    assert session.flush()
+    assert session.report().to_dict() == mini_report.to_dict()
+    assert session.lines_received == len(lines) + 2
+    assert [(q.line_number, q.line) for q in session.quarantine] == [
+        (len(lines) + 1, "not lttng"),
+        (len(lines) + 2, "nor this"),
+    ]
+
+
 def test_error_budget_degrades_session():
     session = IngestSession(
         "lttng", suite_name="bad", error_budget=0.5, budget_grace=5

@@ -1,6 +1,7 @@
 """Unit tests for the sharding primitives: spans, shard filter, prescan."""
 
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -63,6 +64,10 @@ def test_invalid_jobs(tmp_path):
 
 
 # -- ShardFilter soundness ---------------------------------------------------
+
+_row = attrgetter("name", "args", "retval", "errno", "pid", "comm", "timestamp")
+
+
 # Every definite (True/False) local verdict must equal the sequential
 # filter's verdict when the shard happens to start at stream position 0
 # (where local knowledge is complete modulo UNKNOWN fds).
@@ -89,7 +94,7 @@ def test_shard_filter_definite_verdicts_match_sequential():
     shard = ShardFilter(TraceFilter.for_mount_point("/mnt/test"))
     for seq, event in enumerate(events):
         expected = sequential.admit(event)
-        verdict = shard.admit_local(seq, event)
+        verdict = shard.admit_local_row(seq, _row(event))
         if verdict is not None:
             assert verdict == expected, (seq, event.name)
     # the undecidable ones were deferred with their positions
@@ -106,7 +111,7 @@ def test_shard_filter_op_log_tracks_definite_mutations():
         make_event("close", {"fd": 7}, 0, pid=1),
     ]
     for seq, event in enumerate(events):
-        assert shard.admit_local(seq, event) is True
+        assert shard.admit_local_row(seq, _row(event)) is True
     assert [(op, fd) for _, _, op, fd in shard.ops] == [(0, 5), (0, 7), (1, 7)]
 
 

@@ -8,11 +8,12 @@ fresh per-line reference on the same text.
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.trace.batch import (
@@ -68,6 +69,37 @@ SYZ_NOISE = [
     "   ",
     "garbage that is not a call",
 ]
+
+
+#: A path holding a form feed (a line break to ``str.splitlines``, not
+#: to file iteration) next to a backslash path, whose escaped field
+#: block declines the chunk fast path and forces the per-line loop.
+FORMFEED_LTTNG = LttngWriter().dumps(
+    [
+        make_event(
+            "openat",
+            {"dfd": -100, "pathname": "/mnt/test/a\x0cb", "flags": 577, "mode": 420},
+            3,
+            pid=7,
+            comm="t",
+            timestamp=10,
+        ),
+        make_event(
+            "openat",
+            {"dfd": -100, "pathname": "/mnt/test/back\\slash", "flags": 0, "mode": 0},
+            4,
+            pid=7,
+            comm="t",
+            timestamp=20,
+        ),
+    ]
+)
+
+#: The strace twin: a malformed line forces the per-line loop.
+FORMFEED_STRACE = (
+    'openat(AT_FDCWD, "/mnt/test/x\x0cy", O_WRONLY|O_CREAT|O_TRUNC, 0644) = 3\n'
+    "complete garbage ####\n"
+)
 
 
 def _lttng_text(count: int = 40, seed: int = 7) -> str:
@@ -194,6 +226,28 @@ def test_malformed_lines_are_counted_not_dropped_silently():
     assert parser.stats()["malformed_lines"] == 1
 
 
+@pytest.mark.parametrize("chunk_lines", [1, 1000])
+@pytest.mark.parametrize(
+    ("fmt", "text", "events"),
+    [("lttng", FORMFEED_LTTNG, 2), ("strace", FORMFEED_STRACE, 1)],
+    ids=["lttng", "strace"],
+)
+def test_chunks_split_only_where_files_do(fmt, text, events, chunk_lines):
+    """Form feeds inside a line: chunked parsing == file iteration."""
+    reference = make_batch_parser(fmt)
+    want_rows = reference.parse_lines(io.StringIO(text))
+    assert len(want_rows) == events
+    assert want_rows[0][1]["flags"] == 577  # O_WRONLY|O_CREAT|O_TRUNC
+    parser = make_batch_parser(fmt)
+    lines = io.StringIO(text).readlines()
+    rows = []
+    for start in range(0, len(lines), chunk_lines):
+        rows.extend(parser.parse_chunk("".join(lines[start : start + chunk_lines])))
+    assert rows == want_rows
+    assert parser.stats() == reference.stats()
+    assert parser.stats()["malformed_lines"] == (1 if fmt == "strace" else 0)
+
+
 def test_make_batch_parser_rejects_unknown_format():
     with pytest.raises(ValueError):
         make_batch_parser("ftrace")
@@ -252,3 +306,36 @@ def test_syzkaller_resource_snapshot_injection():
     ref = SyzkallerParser({"r5": 8})
     event = ref.parse_line("write(r5, &(0x7f0000000080), 0x10)")
     assert rows[0][1] == event.args
+
+
+# -- the fast-path shortcuts against their references ----------------------------
+
+_ARG_TEXT = st.text(alphabet="a1 ,\"\\()[]{}'&=x\t", max_size=40)
+_ARG_TOKEN = st.text(alphabet="a1 \"\\'0x7|O_RDONLY_CREAT\xe9\u4e2d.", max_size=20)
+
+
+@given(_ARG_TEXT)
+@example(" ")  # a blank last token is dropped by the reference
+@example('1,",1')  # an unclosed quote runs to the end of the text
+@example("{),}")  # a stray closer inside a group ends it
+@settings(max_examples=300, deadline=None)
+def test_fast_split_equals_reference_split(text):
+    from repro.trace import strace, syzkaller
+
+    assert strace._fast_split(text) == strace._split_args(text)
+    assert syzkaller._fast_split(text) == syzkaller._split_args(text)
+
+
+@given(_ARG_TOKEN)
+@settings(max_examples=300, deadline=None)
+def test_strace_arg_value_equals_reference_parse(token):
+    from repro.trace.strace import _arg_value, _parse_arg
+
+    def outcome(parse):
+        try:
+            value = parse(token.strip())
+        except ValueError as exc:  # e.g. a dangling escape in a string
+            return type(exc), None
+        return type(value), value
+
+    assert outcome(_arg_value) == outcome(_parse_arg)
