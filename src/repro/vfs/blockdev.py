@@ -11,7 +11,8 @@ harness does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import AbstractSet
 
 from repro.vfs import constants
 from repro.vfs.errors import ENOSPC, FsError
@@ -123,9 +124,12 @@ class BlockDevice:
             self._allocated.pop(owner, None)
 
     def release_owner(self, owner: int) -> None:
-        """Free every block held by *owner* (inode removal)."""
+        """Free every block held by *owner* (inode removal).
+
+        The persisted allocation stays until the next barrier: a crash
+        before it brings the inode back, and its blocks with it.
+        """
         self._allocated.pop(owner, None)
-        self._persisted.pop(owner, None)
 
     # -- persistence / crash ----------------------------------------------
 
@@ -141,6 +145,14 @@ class BlockDevice:
         else:
             self._persisted[owner] = blocks
 
-    def crash(self) -> None:
-        """Discard all allocations that were never persisted."""
+    def crash(self, live: AbstractSet[int] | None = None) -> None:
+        """Discard all allocations that were never persisted.
+
+        With *live*, also forget every owner not in it: an inode the
+        crash rolled out of existence frees its blocks even if they
+        were persisted (an fsync'd file born after the last checkpoint).
+        """
+        if live is not None:
+            for owner in self._persisted.keys() - live:
+                del self._persisted[owner]
         self._allocated = dict(self._persisted)

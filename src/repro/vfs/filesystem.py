@@ -119,12 +119,21 @@ class FileSystem:
         if block_limit <= 0:
             self._quotas.pop(uid, None)
         else:
-            used = sum(
-                self.device.owner_blocks(inode.ino)
-                for inode in self.inodes.all_inodes()
-                if inode.uid == uid
+            self._quotas[uid] = Quota(
+                block_limit=block_limit, blocks_used=self._blocks_owned_by(uid)
             )
-            self._quotas[uid] = Quota(block_limit=block_limit, blocks_used=used)
+
+    def recount_quotas(self) -> None:
+        """Re-derive every quota's usage from the device (after a crash)."""
+        for uid, quota in self._quotas.items():
+            quota.blocks_used = self._blocks_owned_by(uid)
+
+    def _blocks_owned_by(self, uid: int) -> int:
+        return sum(
+            self.device.owner_blocks(inode.ino)
+            for inode in self.inodes.all_inodes()
+            if inode.uid == uid
+        )
 
     def _quota_for(self, uid: int) -> Quota | None:
         return self._quotas.get(uid)

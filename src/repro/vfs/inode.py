@@ -9,9 +9,8 @@ layer charges the block device before calling them.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterator, KeysView
 
 from repro.vfs import constants
 from repro.vfs.errors import (
@@ -22,6 +21,9 @@ from repro.vfs.errors import (
     ERANGE,
     FsError,
 )
+
+if TYPE_CHECKING:
+    from repro.vfs.crash import CrashSimulator
 
 
 @dataclass
@@ -79,6 +81,14 @@ class Inode:
 
     def set_permissions(self, mode: int) -> None:
         self.mode = self.file_type | (mode & 0o7777)
+
+    def clone(self) -> "Inode":
+        """An independent copy: later mutations of either never show in the other."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.times = replace(self.times)
+        twin.xattrs = dict(self.xattrs)
+        return twin
 
     # -- size ---------------------------------------------------------------
 
@@ -153,6 +163,11 @@ class FileInode(Inode):
     def size(self) -> int:
         return max(len(self.data), self._sparse_size)
 
+    def clone(self) -> "FileInode":
+        twin = super().clone()
+        twin.data = bytearray(self.data)
+        return twin
+
     @property
     def materialized_bytes(self) -> int:
         """Bytes actually backed by storage (what the device charges)."""
@@ -220,6 +235,11 @@ class DirInode(Inode):
         self.parent_ino = parent_ino if parent_ino is not None else ino
         self.nlink = 2  # "." and the parent's entry
 
+    def clone(self) -> "DirInode":
+        twin = super().clone()
+        twin.entries = dict(self.entries)
+        return twin
+
     @property
     def size(self) -> int:
         # Directories report a nominal block-multiple size like Ext4.
@@ -275,12 +295,23 @@ class SymlinkInode(Inode):
 
 
 class InodeTable:
-    """Allocator and registry for all inodes of one file system."""
+    """Allocator and registry for all inodes of one file system.
+
+    Reach rule: every mutation reaches its inode through this table
+    (:meth:`get`, :meth:`remove`) or through a looked-up descriptor,
+    whose lookup reports the inode to :attr:`undo` as well.  The crash
+    simulator (:mod:`repro.vfs.crash`) attaches itself as :attr:`undo`
+    and relies on the rule to save an inode before its first change
+    after a checkpoint.  With nothing attached the hook costs one
+    ``is None`` test.  Read-only walkers use :meth:`peek`.
+    """
 
     def __init__(self, max_inodes: int = 1 << 20) -> None:
         self._inodes: dict[int, Inode] = {}
-        self._next_ino = itertools.count(start=2)  # 1 is reserved; root gets 2
+        #: the number the next allocated inode gets (1 is reserved; root gets 2)
+        self.next_ino = 2
         self.max_inodes = max_inodes
+        self.undo: CrashSimulator | None = None
 
     def __len__(self) -> int:
         return len(self._inodes)
@@ -289,19 +320,28 @@ class InodeTable:
         return ino in self._inodes
 
     def get(self, ino: int) -> Inode:
-        """Fetch an inode by number.
+        """Fetch an inode by number (a reach, see the class docstring).
 
         Raises:
             FsError(ENOENT): the inode does not exist (stale reference).
         """
-        if ino not in self._inodes:
+        inode = self._inodes.get(ino)
+        if inode is None:
             raise FsError(ENOENT, f"inode {ino}")
-        return self._inodes[ino]
+        if self.undo is not None:
+            self.undo.reach(inode)
+        return inode
+
+    def peek(self, ino: int) -> Inode | None:
+        """Fetch an inode by number for reading only: not a reach."""
+        return self._inodes.get(ino)
 
     def _allocate_ino(self) -> int:
         if len(self._inodes) >= self.max_inodes:
             raise FsError(ENOSPC, "inode table full")
-        return next(self._next_ino)
+        ino = self.next_ino
+        self.next_ino += 1
+        return ino
 
     def new_file(self, mode: int = 0o644, uid: int = 0, gid: int = 0) -> FileInode:
         inode = FileInode(self._allocate_ino(), mode, uid, gid)
@@ -322,7 +362,28 @@ class InodeTable:
 
     def remove(self, ino: int) -> None:
         """Drop an inode from the table (after its last link is gone)."""
-        self._inodes.pop(ino, None)
+        inode = self._inodes.get(ino)
+        if inode is None:
+            return
+        if self.undo is not None:
+            self.undo.reach(inode)
+        del self._inodes[ino]
+
+    def restore(self, preimages: dict[int, Inode], mark: int) -> None:
+        """Roll back to the table as it was when :attr:`next_ino` was *mark*.
+
+        Drops every inode born since, puts *preimages* (inodes older
+        than *mark*, as they were then) back in place, and rewinds the
+        allocator.
+        """
+        for ino in range(mark, self.next_ino):
+            self._inodes.pop(ino, None)
+        self._inodes.update(preimages)
+        self.next_ino = mark
 
     def all_inodes(self) -> Iterator[Inode]:
         return iter(self._inodes.values())
+
+    def numbers(self) -> KeysView[int]:
+        """The numbers of all inodes in the table (a live view)."""
+        return self._inodes.keys()

@@ -179,11 +179,27 @@ class SyscallInterface:
             raise FsError(EFAULT, "NULL path")
         return path
 
+    def _lookup_fd(self, fd: int) -> OpenFileDescription:
+        """Look up *fd*: the one way a mutation reaches an inode by descriptor.
+
+        The inode is reported to an attached crash simulator, as
+        :meth:`InodeTable.get <repro.vfs.inode.InodeTable.get>` does for
+        lookups by number.
+
+        Raises:
+            FsError(EBADF): not an open descriptor.
+        """
+        ofd = self.process.fd_table.get(fd)
+        undo = self.fs.inodes.undo
+        if undo is not None:
+            undo.reach(ofd.inode)
+        return ofd
+
     def _dirfd_ino(self, dirfd: int) -> int:
         """Translate an \\*at dirfd to a starting inode number."""
         if dirfd == constants.AT_FDCWD:
             return self.process.cwd_ino
-        ofd = self.process.fd_table.get(dirfd)
+        ofd = self._lookup_fd(dirfd)
         if not ofd.inode.is_directory():
             raise FsError(ENOTDIR, f"dirfd {dirfd}")
         return ofd.inode.ino
@@ -207,13 +223,13 @@ class SyscallInterface:
         )
 
     def _writable_file_ofd(self, fd: int) -> OpenFileDescription:
-        ofd = self.process.fd_table.get(fd)
+        ofd = self._lookup_fd(fd)
         if not ofd.writable():
             raise FsError(EBADF, f"fd {fd} not open for writing")
         return ofd
 
     def _readable_file_ofd(self, fd: int) -> OpenFileDescription:
-        ofd = self.process.fd_table.get(fd)
+        ofd = self._lookup_fd(fd)
         if not ofd.readable():
             raise FsError(EBADF, f"fd {fd} not open for reading")
         return ofd
@@ -626,7 +642,7 @@ class SyscallInterface:
         args = {"fd": fd, "offset": offset, "whence": whence}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             inode = ofd.inode
             size = inode.size if isinstance(inode, FileInode) else 0
             if whence == constants.SEEK_SET:
@@ -687,7 +703,7 @@ class SyscallInterface:
         def body() -> int:
             if length < 0:
                 raise FsError(EINVAL, f"length {length}")
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             if not ofd.writable():
                 raise FsError(EINVAL, f"fd {fd} not open for writing")
             self.fs.require_writable()
@@ -762,7 +778,7 @@ class SyscallInterface:
         args = {"fd": fd, "mode": mode}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             self._apply_chmod(ofd.inode, mode)
             return 0
 
@@ -826,7 +842,7 @@ class SyscallInterface:
         args = {"fd": fd}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             if not ofd.inode.is_directory():
                 raise FsError(ENOTDIR, f"fd {fd}")
             check_permission(ofd.inode, self.creds, MAY_EXEC)
@@ -896,7 +912,7 @@ class SyscallInterface:
         args = {"fd": fd, "name": name, "size": size, "flags": flags}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             return self._apply_setxattr(
                 ofd.inode, name, value, size, flags, buf_faulty
             )
@@ -987,7 +1003,7 @@ class SyscallInterface:
         args = {"fd": fd, "name": name, "size": size}
 
         def body() -> tuple[int, bytes | None]:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             return self._apply_getxattr(ofd.inode, name, size, buf_faulty)
 
         return self._run("fgetxattr", args, body)
@@ -1150,9 +1166,11 @@ class SyscallInterface:
             new = self._require_path(newpath)
             self.fs.require_writable()
             src = self._resolve(old, follow_final=False)
-            assert src.inode is not None and src.parent is not None
             dst = self._resolve(new, follow_final=False, must_exist=False)
-            assert dst.parent is not None
+            if src.parent is None or dst.parent is None:
+                # Only the root resolves without a parent directory.
+                raise FsError(EBUSY, "rename of the root")
+            assert src.inode is not None
             check_permission(src.parent, self.creds, MAY_WRITE | MAY_EXEC)
             check_permission(dst.parent, self.creds, MAY_WRITE | MAY_EXEC)
             if isinstance(src.inode, DirInode):
@@ -1216,7 +1234,7 @@ class SyscallInterface:
         args = {"fildes": fd}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             ofd.refcount += 1
             return self.process.fd_table.install(ofd)
 
@@ -1227,7 +1245,7 @@ class SyscallInterface:
         args = {"oldfd": oldfd, "newfd": newfd}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(oldfd)
+            ofd = self._lookup_fd(oldfd)
             if oldfd == newfd:
                 return newfd
             ofd.refcount += 1
@@ -1251,7 +1269,7 @@ class SyscallInterface:
         args = {"fd": fd}
 
         def body() -> int:
-            self.process.fd_table.get(fd)
+            self._lookup_fd(fd)
             return 0
 
         return self._run("fstat", args, body)
@@ -1261,7 +1279,7 @@ class SyscallInterface:
         args = {"fd": fd}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             self.fs.device.sync_owner(ofd.inode.ino)
             return 0
 
@@ -1272,7 +1290,7 @@ class SyscallInterface:
         args = {"fd": fd}
 
         def body() -> int:
-            ofd = self.process.fd_table.get(fd)
+            ofd = self._lookup_fd(fd)
             self.fs.device.sync_owner(ofd.inode.ino)
             return 0
 

@@ -1,7 +1,11 @@
 """CrashMonkey substrate: seq-1 enumeration, crash checks, calibration."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.core import IOCov
 from repro.testsuites import CrashMonkeySuite, Seq1Generator, SuiteRunner
 
@@ -16,6 +20,24 @@ def test_seq1_specs_cover_all_ops_and_modes():
     specs = list(Seq1Generator())
     assert {spec.persist for spec in specs} == {"none", "fsync", "fdatasync", "sync"}
     assert len({spec.op for spec in specs}) >= 8
+
+
+#: SHA-256 of the stdout of
+#: ``repro suites --suite crashmonkey --scale 1.0 --seed 3 --json``, as
+#: produced when every checkpoint deep-copied the whole volume.
+PAPER_SCALE_SEED3_SHA256 = (
+    "920af160e220f36c25bed43f610c7b5a1fc6b04b89e577759aa2b94c27b86245"
+)
+
+
+def test_paper_scale_reproduction_is_pinned(capsys):
+    argv = ["suites", "--suite", "crashmonkey", "--scale", "1.0", "--seed", "3"]
+    assert main([*argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SCALE_SEED3_SHA256
+    (run,) = json.loads(out)["runs"]
+    # EXPERIMENTS.md: the paper-calibrated open(O_RDONLY) frequency.
+    assert run["coverage"]["input_coverage"]["open"]["flags"]["O_RDONLY"] == 7924
 
 
 @pytest.fixture(scope="module")

@@ -67,6 +67,12 @@ def test_rmdir_root_is_ebusy(sc):
     assert sc.rmdir("/").errno == EBUSY
 
 
+def test_rename_of_or_onto_root_is_ebusy(sc):
+    assert sc.mkdir("/d", 0o755).ok
+    assert sc.rename("/", "/x").errno == EBUSY
+    assert sc.rename("/d", "/").errno == EBUSY
+
+
 def test_rename_same_directory(sc, mkfile):
     mkfile("/a", size=10)
     assert sc.rename("/a", "/b").ok
