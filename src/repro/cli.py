@@ -560,7 +560,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             tenant=args.tenant,
             project=args.project,
-            analysis_workers=args.analysis_workers,
         )
     except StoreLockError as exc:
         print(f"serve: {exc}", file=sys.stderr)
@@ -1014,15 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="max malformed-line fraction before the session degrades",
-    )
-    serve.add_argument(
-        "--analysis-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="offload trace parsing to N persistent worker processes "
-        "(namespace→worker affinity preserves per-session ordering); "
-        "omitted = parse in-process",
     )
     serve.set_defaults(handler=cmd_serve)
 

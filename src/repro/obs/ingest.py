@@ -42,7 +42,6 @@ from typing import Any
 from repro.core.analyzer import IOCov
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import DEFAULT_PROJECT, DEFAULT_TENANT, BaseRunStore
-from repro.parallel.pool import PoolError, WorkerPool
 from repro.trace.batch import EventBatch, make_batch_parser
 from repro.trace.binary import RbtError, decode_batch, encode_batch
 from repro.trace.textparse import split_lines
@@ -129,118 +128,6 @@ class _BatchLineParser:
         return rows, self._parser.malformed_at
 
 
-class _PoolLineParser:
-    """Chunk parsing offloaded to a persistent worker pool.
-
-    The ``--analysis-workers`` engine: chunks are shipped (via the
-    pool's shared-memory handoff) to a worker pinned by namespace key,
-    where a persistent batch parser — pairing state and all — lives
-    for the session's lifetime.  Affinity keeps one namespace's chunks
-    on one worker in FIFO order, so cross-chunk entry/exit pairing is
-    exactly what the in-process parser would have computed, while
-    different namespaces parse on different cores — the GIL no longer
-    serializes tenants.
-
-    The offload is structured so the session's ``_lock`` is never held
-    across a pool wait: :meth:`submit`/:meth:`wait` run lock-free in
-    the ingest worker thread, and only :meth:`apply` (counter folding,
-    cheap) runs under the lock.
-
-    Failure containment: any pool error — or a worker *incarnation*
-    change, which means the namespace's resident parser state died
-    with a crashed worker — permanently reverts the session to inline
-    parsing (a fresh :class:`_BatchLineParser`; counters carry over).
-    Entry/exit pairs straddling the crash boundary may go unpaired,
-    exactly as if the stream had been restarted there.
-    """
-
-    def __init__(self, fmt: str, pool: WorkerPool, key: str) -> None:
-        self.fmt = fmt
-        self.lines_fed = 0
-        self.malformed_lines = 0
-        self.skipped_lines = 0
-        self.pending_entries = 0
-        self._pool = pool
-        self._key = key
-        self._worker = pool.worker_for(key)
-        self._incarnation = pool.incarnation(self._worker)
-        self._inline: _BatchLineParser | None = None
-
-    @property
-    def offloaded(self) -> bool:
-        """False once the session has reverted to inline parsing."""
-        return self._inline is None
-
-    def _fall_back(self) -> None:
-        if self._inline is None:
-            self._inline = _BatchLineParser(self.fmt)
-
-    # -- phase 1: lock-free -----------------------------------------------------
-
-    def submit(self, lines: list[str]) -> tuple:
-        """Ship one chunk to the namespace's worker; returns a ticket."""
-        if self._inline is None:
-            try:
-                future = self._pool.submit_parse(
-                    self._key, self.fmt, "\n".join(lines) + "\n", worker=self._worker
-                )
-            except PoolError:
-                self._fall_back()
-            else:
-                return ("future", lines, future)
-        return ("inline", lines, None)
-
-    def wait(self, ticket: tuple) -> tuple:
-        """Block (no session lock held) until the chunk's result lands."""
-        kind, lines, future = ticket
-        if kind != "future":
-            return ticket
-        try:
-            answer = future.result(timeout=60.0)
-        except (PoolError, TimeoutError):
-            self._fall_back()
-            return ("inline", lines, None)
-        if answer[0] != self._incarnation:
-            # The worker restarted between rounds: the resident parser
-            # (and its pairing state) is gone.  The respawned worker
-            # *did* parse this chunk, but with a fresh parser — treat
-            # it like a stream restart and revert to inline.
-            self._fall_back()
-            return ("inline", lines, None)
-        return ("answer", lines, answer)
-
-    # -- phase 2: under the session lock ---------------------------------------
-
-    def apply(self, ticket: tuple) -> tuple[EventBatch | None, int, list[int]]:
-        """Fold one resolved ticket in; returns ``(batch, events, bad)``."""
-        kind, lines, answer = ticket
-        if kind == "inline":
-            inline = self._inline
-            before_malformed = inline.malformed_lines
-            before_skipped = inline.skipped_lines
-            rows, bad = inline.parse_lines(lines)
-            self.lines_fed += len(lines)
-            self.malformed_lines += inline.malformed_lines - before_malformed
-            self.skipped_lines += inline.skipped_lines - before_skipped
-            self.pending_entries = inline.pending_entries
-            batch = EventBatch.from_rows(rows) if rows else None
-            return batch, len(rows), bad
-        _incarnation, encoded, nrows, bad, malformed, skipped, pending = answer
-        self.lines_fed += len(lines)
-        self.malformed_lines += malformed
-        self.skipped_lines += skipped
-        self.pending_entries = pending
-        batch = decode_batch(encoded) if nrows else None
-        return batch, nrows, bad
-
-    def offload_stats(self) -> dict[str, Any]:
-        return {
-            "enabled": self._inline is None,
-            "worker": self._worker,
-            "incarnation": self._incarnation,
-        }
-
-
 class IngestSession:
     """A live trace-ingestion session feeding one :class:`IOCov`.
 
@@ -258,9 +145,6 @@ class IngestSession:
             across sessions — samples carry tenant/project labels).
         tenant: namespace tenant for journal/store/metric scoping.
         project: namespace project.
-        pool: persistent :class:`~repro.parallel.pool.WorkerPool` to
-            offload chunk parsing to (the ``--analysis-workers`` mode);
-            None keeps parsing in-process.
     """
 
     def __init__(
@@ -277,7 +161,6 @@ class IngestSession:
         registry: MetricsRegistry | None = None,
         tenant: str = DEFAULT_TENANT,
         project: str = DEFAULT_PROJECT,
-        pool: WorkerPool | None = None,
     ) -> None:
         self.fmt = fmt
         self.mount_point = mount_point
@@ -292,11 +175,7 @@ class IngestSession:
         self._labels = {"tenant": tenant, "project": project}
         self._ns = {"tenant": tenant, "project": project}
         self.iocov = IOCov(mount_point=mount_point, suite_name=suite_name)
-        self.parser: _BatchLineParser | _PoolLineParser = (
-            _PoolLineParser(fmt, pool, key=f"{tenant}/{project}")
-            if pool is not None
-            else _BatchLineParser(fmt)
-        )
+        self.parser = _BatchLineParser(fmt)
         self.quarantine: list[Quarantined] = []
         self.degraded = False
         self.closed = False
@@ -396,49 +275,27 @@ class IngestSession:
         Items are consumed strictly in queue order — a binary frame
         between two text chunks counts exactly where it arrived, so fd
         state evolves as it would have in one sequential stream.
-
-        With a pool-offloaded parser the round is two-phase: every text
-        chunk is submitted to (and collected from) the namespace's
-        pinned worker *before* the session lock is taken — readers of
-        ``/live`` never wait on a parse — and only the cheap counter
-        folding and batch counting run under the lock.
         """
         started = time.perf_counter()
         n_lines = 0
         n_events = 0
         malformed: list[Quarantined] = []
         parser = self.parser
-        tickets: list[tuple | None] | None = None
-        if isinstance(parser, _PoolLineParser):
-            # Submit every chunk first (they queue FIFO on the affinity
-            # worker, which parses chunk k while we ship chunk k+1),
-            # then wait — all without the session lock.
-            tickets = [
-                parser.submit(item) if isinstance(item, list) else None
-                for item in items
-            ]
-            tickets = [t if t is None else parser.wait(t) for t in tickets]
         with self._lock:
-            for position, item in enumerate(items):
+            for item in items:
                 if isinstance(item, EventBatch):
                     self.iocov.consume_batch(item)
                     self.batches_received += 1
                     n_events += len(item)
                     continue
                 base = self.lines_received
-                if tickets is not None:
-                    batch, n_rows, bad_positions = parser.apply(tickets[position])
-                else:
-                    rows, bad_positions = parser.parse_lines(item)
-                    batch = EventBatch.from_rows(rows) if rows else None
-                    n_rows = len(rows)
+                rows, bad_positions = parser.parse_lines(item)
                 n_lines += len(item)
                 self.lines_received += len(item)
                 for index in bad_positions:
                     malformed.append(Quarantined(base + index + 1, item[index]))
-                if batch is not None:
-                    self.iocov.consume_batch(batch)
-                    n_events += n_rows
+                self.iocov._ingest_rows(rows)
+                n_events += len(rows)
             self.events_counted += n_events
             if malformed:
                 space = QUARANTINE_CAP - len(self.quarantine)
@@ -601,14 +458,8 @@ class IngestSession:
         with self._space:
             depth = self._pending_lines
         with self._lock:
-            offload = (
-                self.parser.offload_stats()
-                if isinstance(self.parser, _PoolLineParser)
-                else None
-            )
             return {
                 "format": self.fmt,
-                "analysis_offload": offload,
                 "suite": self.suite_name,
                 "tenant": self.tenant,
                 "project": self.project,

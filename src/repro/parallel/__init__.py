@@ -9,13 +9,10 @@ coverage tally is a sum, and the stateful parts (mount-point fd
 tracking, LTTng entry/exit pairing) are reconciled by a replay of the
 small cross-shard residue each worker reports.
 
-Since the persistent-pool rework, fan-out runs on a **spawn-once
-worker pool** (:mod:`repro.parallel.pool`) shared by every
-``run_sharded`` call in the process *and* by the obs daemon's
-``--analysis-workers`` parse offload: workers stay warm, shard spans
-and result blobs travel through shared memory instead of the pool's
-pickle pipes, and a pipelined reader thread overlaps span I/O with
-worker parsing and with stream-merging of completed shards.
+Fan-out runs on a **spawn-once worker pool** (:mod:`repro.parallel.pool`)
+shared by every ``run_sharded`` call in the process: workers stay warm,
+each worker reads its own span straight from the trace file, and the
+caller stream-merges shard tallies in completion order.
 
 Entry points:
 
@@ -44,7 +41,6 @@ from repro.parallel.worker import (
     ShardResult,
     ShardTask,
     analyze_shard,
-    analyze_shard_data,
 )
 
 __all__ = [
@@ -57,7 +53,6 @@ __all__ = [
     "WorkerCrashError",
     "WorkerPool",
     "analyze_shard",
-    "analyze_shard_data",
     "get_pool",
     "iter_span_lines",
     "pool_is_warm",

@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import os
 import queue
-import threading
 from collections import defaultdict, deque
 from typing import Any
 
@@ -52,14 +51,10 @@ from repro.trace.syzkaller import scan_resource_bindings
 #: than it saves; the executor runs sequentially instead.  Two
 #: thresholds, because the dominant cost differs by an order of
 #: magnitude: a *cold* call pays worker startup (~18 ms/worker
-#: measured), a *warm* call only pays shared-memory handoff and result
+#: measured), a *warm* call only pays task dispatch and result
 #: pickling.
 MIN_SHARD_EVENTS = 4096
 MIN_SHARD_EVENTS_WARM = 1024
-
-#: Extra shard payloads the reader thread may stage beyond the worker
-#: count — the pipeline depth of the parse→analyze overlap.
-PIPELINE_SLACK = 2
 
 #: Bytes sampled from the head of the file to estimate the event count.
 _SAMPLE_BYTES = 128 * 1024
@@ -167,7 +162,7 @@ def run_sharded(
         results = [analyze_shard(task) for task in tasks]
     else:
         try:
-            results, merged = _run_pool_pipelined(path, tasks, jobs, warm, stats)
+            results, merged = _run_pool(tasks, jobs, warm, stats)
         except PoolError as exc:
             # Pool unavailable or a worker died mid-call: the parity
             # guarantee is unconditional, so re-run sequentially.
@@ -210,27 +205,19 @@ def _estimate_events(path: str, fmt: str) -> int:
     return estimated_lines // 2 if fmt == "lttng" else estimated_lines
 
 
-def _run_pool_pipelined(
-    path: str,
+def _run_pool(
     tasks: list[ShardTask],
     jobs: int,
     warm: bool,
     stats: dict,
 ) -> tuple[list[ShardResult], ShardResult]:
-    """The pipelined scheduler over the persistent worker pool.
+    """Fan the shard tasks out over the persistent worker pool.
 
-    Three stages overlap:
-
-    * a **reader thread** walks the spans in file order, reads each
-      span's bytes, and hands them to the pool through shared memory —
-      staying at most ``workers + PIPELINE_SLACK`` spans ahead so a
-      huge trace never materializes in memory at once;
-    * **workers** parse and count each span as soon as its bytes land;
-    * the **caller thread** folds shard tallies together *in completion
-      order* — the stream-merge half of :func:`tree_merge`'s job — so
-      merging the fast shards overlaps the slow shards' counting
-      instead of barriering on the whole fan-out.
-
+    Every task is submitted up front; each worker reads its own span
+    from the trace file.  The caller thread then folds shard tallies
+    together *in completion order* — the stream-merge half of
+    :func:`tree_merge`'s job — so merging the fast shards overlaps the
+    slow shards' counting instead of barriering on the whole fan-out.
     Only the order-sensitive stitch residue waits for every shard.
 
     Returns ``(results_by_index, merged_tallies)``.
@@ -245,53 +232,19 @@ def _run_pool_pipelined(
         "workers": pool.workers,
         "cold_start_seconds": None if warm else round(pool.cold_start_seconds, 4),
     }
-    done: queue.Queue = queue.Queue()
-    slots = threading.Semaphore(pool.workers + PIPELINE_SLACK)
-    abort = threading.Event()
-
-    def feed() -> None:
-        try:
-            with open(path, "rb") as handle:
-                for task in tasks:
-                    slots.acquire()
-                    if abort.is_set():
-                        return
-                    handle.seek(task.start)
-                    data = handle.read(task.end - task.start)
-                    future = pool.submit_shard(
-                        task, data, worker=task.index % pool.workers
-                    )
-                    future.add_done_callback(
-                        lambda f, index=task.index: done.put((index, f))
-                    )
-        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            done.put((None, exc))
-
-    reader = threading.Thread(target=feed, name="iocov-shard-reader", daemon=True)
-    reader.start()
-
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    for task in tasks:
+        pool.submit_shard(task, worker=task.index % pool.workers).add_done_callback(
+            lambda future, index=task.index: done.put((index, future))
+        )
     results: list[ShardResult | None] = [None] * len(tasks)
     merged: ShardResult | None = None
-    try:
-        for _ in range(len(tasks)):
-            index, future = done.get()
-            if index is None:
-                raise future if isinstance(future, BaseException) else PoolError(
-                    str(future)
-                )
-            slots.release()
-            _incarnation, result = future.result()
-            results[index] = result
-            # Stream-merge: tallies fold as shards finish, any order.
-            merged = result if merged is None else merged.merge(result)
-    except BaseException:
-        abort.set()
-        # Unblock the reader if it is parked on the pipeline bound.
-        for _ in tasks:
-            slots.release()
-        raise
-    finally:
-        reader.join(timeout=5)
+    for _ in tasks:
+        index, future = done.get()
+        result = future.result()
+        results[index] = result
+        # Stream-merge: tallies fold as shards finish, any order.
+        merged = result if merged is None else merged.merge(result)
     return results, merged
 
 
@@ -367,7 +320,7 @@ def _stitch_and_merge(
     sequential parser counts them skipped) and entry lines whose exits
     never arrived (the sequential parser's unpaired count).
 
-    *merged* carries tallies the pipelined scheduler already
+    *merged* carries tallies the pool scheduler already
     stream-merged in completion order; when absent (the inline path)
     they are tree-merged here.  Both are exact — every tally is a sum.
     """

@@ -9,7 +9,7 @@ and cut there — no full scan of the file is needed to plan the shards.
 from __future__ import annotations
 
 import os
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 #: A half-open byte range of the trace file, aligned to line starts.
 Span = tuple[int, int]
@@ -68,30 +68,17 @@ def iter_span_chunks(
     """
     with open(path, "rb") as handle:
         handle.seek(start)
-        yield from read_span_chunks(handle, end - start, chunk_bytes)
-
-
-def read_span_chunks(
-    handle: BinaryIO, size: int, chunk_bytes: int = DEFAULT_SPAN_CHUNK_BYTES
-) -> Iterator[str]:
-    """Cut the next *size* bytes of *handle* into newline-aligned text.
-
-    *handle* is the trace file positioned at a span start, or an
-    ``io.BytesIO`` over span bytes delivered in memory (it shares the
-    bytes instead of copying them), so a span is chunked the same way
-    however it arrived.
-    """
-    remaining = size
-    while remaining > 0:
-        raw = handle.read(min(chunk_bytes, remaining))
-        if not raw:
-            break
-        remaining -= len(raw)
-        if remaining > 0 and not raw.endswith(b"\n"):
-            tail = handle.readline()
-            remaining -= len(tail)
-            raw += tail
-        yield raw.decode("utf-8")
+        remaining = end - start
+        while remaining > 0:
+            raw = handle.read(min(chunk_bytes, remaining))
+            if not raw:
+                break
+            remaining -= len(raw)
+            if remaining > 0 and not raw.endswith(b"\n"):
+                tail = handle.readline()
+                remaining -= len(tail)
+                raw += tail
+            yield raw.decode("utf-8")
 
 
 def iter_span_lines(path: str, start: int, end: int) -> Iterator[str]:

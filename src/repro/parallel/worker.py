@@ -22,7 +22,6 @@ at exactly the right points.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
@@ -32,7 +31,7 @@ from repro.core.filter import TraceFilter
 from repro.core.input_coverage import InputCoverage
 from repro.core.output_coverage import OutputCoverage
 from repro.parallel.shardfilter import FdOp, ShardFilter
-from repro.parallel.sharding import iter_span_chunks, read_span_chunks
+from repro.parallel.sharding import iter_span_chunks
 from repro.trace.batch import make_batch_parser
 from repro.trace.binary import decode_batch, encode_batch
 from repro.trace.events import Row
@@ -118,24 +117,8 @@ class ShardResult:
 def analyze_shard(task: ShardTask) -> ShardResult:
     """Analyze one byte span of the trace file (runs in a worker).
 
-    The file-reading entry point: streams the span off disk.  The
-    pool's shared-memory path hands the span bytes over directly via
-    :func:`analyze_shard_data` instead.
+    The span is streamed off disk from ``task.path``.
     """
-    return _analyze_shard_impl(task, data=None)
-
-
-def analyze_shard_data(task: ShardTask, data: bytes) -> ShardResult:
-    """Analyze one shard whose span bytes were delivered in memory.
-
-    *data* is the exact bytes of the span ``[start, end)`` — what the
-    executor's reader thread placed in the shared-memory segment.  Results are identical to :func:`analyze_shard` reading
-    the same span from ``task.path``.
-    """
-    return _analyze_shard_impl(task, data=data)
-
-
-def _analyze_shard_impl(task: ShardTask, data: bytes | None) -> ShardResult:
     if task.fmt not in FORMATS:
         raise ValueError(f"unknown trace format: {task.fmt!r}")
     iocov = IOCov(suite_name=f"shard-{task.index}")
@@ -155,14 +138,10 @@ def _analyze_shard_impl(task: ShardTask, data: bytes | None) -> ShardResult:
     orphans: list[tuple[int, OrphanExit]] | None = [] if task.fmt == "lttng" else None
     if orphans is not None:
         parser.orphans = orphans
-    if data is None:
-        chunks = iter_span_chunks(task.path, task.start, task.end)
-    else:
-        chunks = read_span_chunks(io.BytesIO(data), len(data))
     # (pid, name) -> seq of the shard's first local pair for that key.
     first_pair: dict[tuple[int, str], int] = {}
     seq = 0
-    for chunk in chunks:
+    for chunk in iter_span_chunks(task.path, task.start, task.end):
         rows = parser.parse_chunk(chunk)
         if orphans is not None:
             for index, row in enumerate(rows, seq):

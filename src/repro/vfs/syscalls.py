@@ -1195,6 +1195,7 @@ class SyscallInterface:
                         raise FsError(EISDIR, new)
                     dst.parent.unlink(dst.name)
                     dst.parent.nlink -= 1
+                    self.fs.release_inode_space(dst.inode)
                     self.fs.inodes.remove(dst.inode.ino)
                 else:
                     if isinstance(src.inode, DirInode):

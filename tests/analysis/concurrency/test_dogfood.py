@@ -114,5 +114,4 @@ def test_pool_guard_relationships_inferred():
     report = analyze_concurrency()
     guarded = report.stats["guarded_fields"]
     assert guarded["WorkerPool._futures"] == "WorkerPool._lock"
-    assert guarded["WorkerPool._segments"] == "WorkerPool._lock"
     assert guarded["PoolFuture._callbacks"] == "PoolFuture._lock"

@@ -2,19 +2,20 @@
 
 Each case is a trace text in one format.  Every applicable path --
 events through ``consume``, the text file readers, the binary ``.rbt``
-reader, the sharded workers reading spans from disk or from memory,
-and a live ``IngestSession`` fed in arbitrary pieces -- must produce
+reader, the sharded executor (in-process, and through the real worker
+pool with each worker reading its own span from disk), and a live ``IngestSession`` fed in arbitrary pieces -- must produce
 the same report dict and the same parse statistics, and the counted
 ``events_processed`` must equal the rows the parser emitted.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core import IOCov
-from repro.parallel import executor, run_sharded
-from repro.parallel.worker import analyze_shard_data
+from repro.parallel import executor, run_sharded, shutdown_pool
 from repro.testsuites.fuzzer import CoverageGuidedFuzzer
 from repro.trace.batch import make_batch_parser
 from repro.trace.binary import convert_file
@@ -41,12 +42,10 @@ def _cases():
 CASES = _cases()
 
 
-def _shard_data(task):
-    """analyze_shard, but with the span handed over in memory."""
-    with open(task.path, "rb") as handle:
-        handle.seek(task.start)
-        data = handle.read(task.end - task.start)
-    return analyze_shard_data(task, data)
+@pytest.fixture(scope="module", autouse=True)
+def _stop_pool():
+    yield
+    shutdown_pool()
 
 
 def _malformed_lines(fmt: str, text: str) -> list[int]:
@@ -86,22 +85,26 @@ def test_ingest_paths_agree(case, tmp_path, monkeypatch):
     assert binary.report().to_dict() == want
     assert binary.parse_stats == want_stats
 
-    for analyze in (executor.analyze_shard, _shard_data):
-        monkeypatch.setattr(executor, "analyze_shard", analyze)
+    # Fan-out at any trace size, on any box: every case gets >= 2 spans.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(executor, "MIN_SHARD_EVENTS", 0)
+    monkeypatch.setattr(executor, "MIN_SHARD_EVENTS_WARM", 0)
+    for jobs, inline in ((3, True), (2, False)):
         stats: dict = {}
         sharded = run_sharded(
             path,
             fmt=fmt,
-            jobs=3,
+            jobs=jobs,
             mount_point=mount,
             suite_name=SUITE,
-            inline=True,
+            inline=inline,
             min_shard_bytes=1,
             stats=stats,
         )
-        assert stats["shards"] > 1 and not stats["sequential_fallback"]
-        assert sharded.to_dict() == want, analyze.__name__
-        assert stats["parse"] == want_stats, analyze.__name__
+        assert stats["shards"] >= 2 and not stats["sequential_fallback"], stats
+        assert inline or stats["pool"]["workers"] >= 2
+        assert sharded.to_dict() == want, inline
+        assert stats["parse"] == want_stats, inline
 
     malformed = _malformed_lines(fmt, text)
     assert len(malformed) == want_stats["malformed_lines"]

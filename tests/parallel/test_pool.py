@@ -1,15 +1,16 @@
 """Pool lifecycle: warm reuse, crash containment, clean shutdown.
 
-The persistent-pool guarantees the executor and the obs daemon build
-on: a second call pays no startup, a dead worker fails only its own
-futures and is respawned with a bumped incarnation, sequential
-fallback preserves exact parity when the pool is gone, and shutdown —
-including the SIGTERM path — leaves nothing behind in ``/dev/shm``.
+The persistent-pool guarantees the shard executor builds on: a second
+call pays no startup, a dead worker fails only its own futures and is
+respawned in its slot, sequential fallback preserves exact parity when
+the pool is gone, and shutdown — including the SIGTERM path — leaves
+no worker process behind.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -17,10 +18,9 @@ import time
 import pytest
 
 from repro.core import IOCov
-from repro.parallel import run_sharded
-from repro.parallel.executor import PIPELINE_SLACK  # noqa: F401 - import sanity
+from repro.parallel import run_sharded, shard_spans
+from repro.parallel.executor import _stitch_and_merge
 from repro.parallel.pool import (
-    SHM_INLINE_MAX,
     PoolClosedError,
     PoolError,
     PoolUnavailableError,
@@ -30,6 +30,7 @@ from repro.parallel.pool import (
     pool_is_warm,
     shutdown_pool,
 )
+from repro.parallel.worker import ShardTask, analyze_shard
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngWriter
 
@@ -39,16 +40,14 @@ MOUNT = "/mnt/test"
 
 @pytest.fixture
 def pool():
-    p = WorkerPool(2, name="iocovtest")
+    p = WorkerPool(2)
     yield p
     p.shutdown()
 
 
-def _shm_segments(prefix: str) -> list[str]:
-    try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
-    except FileNotFoundError:  # non-Linux: nothing to assert against
-        return []
+def _fixture_task() -> ShardTask:
+    """The whole mini fixture as one shard span."""
+    return ShardTask(0, FIXTURE, 0, os.path.getsize(FIXTURE), "lttng", MOUNT)
 
 
 # -- warm reuse ------------------------------------------------------------------
@@ -94,10 +93,10 @@ def test_global_pool_grows_on_demand():
         shutdown_pool()
 
 
-def test_run_sharded_reuses_warm_pool(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+def _open_close_trace(tmp_path, pairs: int) -> str:
+    """An LTTng trace of *pairs* openat/close pairs under the mount."""
     events = []
-    for i in range(24000):
+    for i in range(pairs):
         events.append(
             make_event(
                 "openat",
@@ -111,20 +110,26 @@ def test_run_sharded_reuses_warm_pool(tmp_path, monkeypatch):
     path = tmp_path / "t.lttng.txt"
     with open(path, "w") as handle:
         LttngWriter().write(events, handle)
+    return str(path)
+
+
+def test_run_sharded_reuses_warm_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    path = _open_close_trace(tmp_path, 24000)
     serial = IOCov(mount_point=MOUNT, suite_name="s")
-    serial.consume_lttng_file(str(path))
+    serial.consume_lttng_file(path)
     shutdown_pool()
     try:
         cold: dict = {}
         report = run_sharded(
-            str(path), jobs=2, mount_point=MOUNT, suite_name="s", stats=cold
+            path, jobs=2, mount_point=MOUNT, suite_name="s", stats=cold
         )
         assert report.to_dict() == serial.report().to_dict()
         assert cold["pool"]["warm"] is False
         assert cold["pool"]["cold_start_seconds"] is not None
         warm: dict = {}
         report = run_sharded(
-            str(path), jobs=2, mount_point=MOUNT, suite_name="s", stats=warm
+            path, jobs=2, mount_point=MOUNT, suite_name="s", stats=warm
         )
         assert report.to_dict() == serial.report().to_dict()
         assert warm["pool"]["warm"] is True
@@ -133,35 +138,19 @@ def test_run_sharded_reuses_warm_pool(tmp_path, monkeypatch):
         shutdown_pool()
 
 
-# -- shared-memory handoff -------------------------------------------------------
-
-
-def test_large_parse_payload_travels_via_shm_and_is_freed(pool):
-    # A chunk over the inline bound must round-trip through a segment
-    # and leave /dev/shm clean once the result is consumed.
-    line = 'openat(AT_FDCWD, "/mnt/test/big", 0x2, 0644) = 3'
-    lines = [line] * (2 * SHM_INLINE_MAX // len(line))
-    text = "\n".join(lines)
-    assert len(text.encode()) > SHM_INLINE_MAX
-    future = pool.submit_parse("t/p", "strace", text)
-    incarnation, _encoded, nrows, bad, malformed, _skip, _pending = future.result(
-        timeout=30
-    )
-    assert incarnation == 0
-    assert nrows == len(lines)
-    assert bad == [] and malformed == 0
-    deadline = time.time() + 5
-    while _shm_segments(pool.prefix) and time.time() < deadline:
-        time.sleep(0.01)
-    assert _shm_segments(pool.prefix) == []
-
-
-def test_parse_affinity_is_stable(pool):
-    key = "tenant/project"
-    pinned = pool.worker_for(key)
-    assert all(pool.worker_for(key) == pinned for _ in range(10))
-    futures = [pool.submit_parse(key, "strace", "sync() = 0") for _ in range(4)]
-    assert {f.worker for f in futures} == {pinned}
+def test_workers_read_their_own_spans(pool):
+    tasks = [
+        ShardTask(index, FIXTURE, start, end, "lttng", MOUNT)
+        for index, (start, end) in enumerate(shard_spans(FIXTURE, 2, min_shard_bytes=1))
+    ]
+    futures = [pool.submit_shard(task, worker=task.index) for task in tasks]
+    results = [future.result(timeout=30) for future in futures]
+    # The later span's deferred rows cross the queue as an .rbt frame.
+    assert results[1].deferred_blob is not None
+    report = _stitch_and_merge(results, MOUNT, "s").report()
+    serial = IOCov(mount_point=MOUNT, suite_name="s")
+    serial.consume_lttng_file(FIXTURE)
+    assert report.to_dict() == serial.report().to_dict()
 
 
 # -- crash containment -----------------------------------------------------------
@@ -173,14 +162,14 @@ def test_worker_crash_fails_inflight_and_respawns(pool):
     victim.join()
     # The task lands on the dead worker's queue before the reaper runs
     # (it polls every 100 ms); its future must fail, not hang.
-    future = pool.submit_parse("t/p", "strace", "sync() = 0", worker=0)
+    future = pool.submit_shard(_fixture_task(), worker=0)
     with pytest.raises(WorkerCrashError):
         future.result(timeout=30)
     deadline = time.time() + 10
     while pool.stats()["respawns"] == 0 and time.time() < deadline:
         time.sleep(0.05)
     assert pool.stats()["respawns"] >= 1
-    assert pool.incarnation(0) == 1
+    assert pool._workers[0].process is not victim
     # The respawned worker serves the same slot.
     assert pool.ping(0) < 10.0
 
@@ -188,9 +177,12 @@ def test_worker_crash_fails_inflight_and_respawns(pool):
 def test_crash_only_fails_futures_on_the_dead_worker(pool):
     pool._workers[0].process.kill()
     pool._workers[0].process.join()
-    doomed = pool.submit_parse("a", "strace", "sync() = 0", worker=0)
-    healthy = pool.submit_parse("b", "strace", "sync() = 0", worker=1)
-    assert healthy.result(timeout=30)[2] == 1  # one row parsed
+    task = _fixture_task()
+    doomed = pool.submit_shard(task, worker=0)
+    healthy = pool.submit_shard(task, worker=1)
+    assert healthy.result(timeout=30).events_processed == (
+        analyze_shard(task).events_processed
+    )
     with pytest.raises(WorkerCrashError):
         doomed.result(timeout=30)
 
@@ -226,14 +218,12 @@ def test_run_sharded_falls_back_sequential_on_pool_error(tmp_path, monkeypatch):
 def test_submit_after_shutdown_raises(pool):
     pool.shutdown()
     with pytest.raises(PoolClosedError):
-        pool.submit_parse("t/p", "strace", "sync() = 0")
+        pool.submit_shard(_fixture_task(), worker=0)
 
 
 def test_shutdown_fails_inflight_futures():
-    pool = WorkerPool(1, name="iocovtest")
-    futures = [
-        pool.submit_parse("t/p", "strace", "sync() = 0") for _ in range(50)
-    ]
+    pool = WorkerPool(1)
+    futures = [pool.submit_shard(_fixture_task(), worker=0) for _ in range(50)]
     pool.shutdown()
     for future in futures:
         try:
@@ -242,25 +232,47 @@ def test_shutdown_fails_inflight_futures():
             pass  # PoolClosedError for anything the worker never answered
 
 
+def test_shutdown_delivers_a_result_larger_than_the_pipe(tmp_path):
+    # A worker cannot exit while its answer sits unread in the result
+    # pipe, so shutdown must keep draining until the workers are gone.
+    path = _open_close_trace(tmp_path, 6000)
+    spans = shard_spans(path, 2, min_shard_bytes=1)
+    task = ShardTask(1, path, *spans[1], "lttng", MOUNT)
+    pool = WorkerPool(1)
+    future = pool.submit_shard(task, worker=0)
+    started = time.perf_counter()
+    pool.shutdown(timeout=30)
+    assert time.perf_counter() - started < 15
+    result = future.result(timeout=1)
+    assert len(pickle.dumps(result)) > 1 << 16  # more than a pipe buffer
+    assert result.events_processed == analyze_shard(task).events_processed
+
+
 # -- clean shutdown (the SIGTERM path) -------------------------------------------
 
 _SIGTERM_SCRIPT = """
 import os, signal, sys
-from repro.parallel.pool import SHM_INLINE_MAX, get_pool, shutdown_pool
+from repro.parallel.pool import get_pool
 
 pool = get_pool(2)
 signal.signal(signal.SIGTERM, lambda s, f: sys.exit(0))  # atexit runs shutdown_pool
-text = "sync() = 0\\n" * (SHM_INLINE_MAX // 8)  # forces shm handoff
-futures = [pool.submit_parse("t/p", "strace", text) for _ in range(8)]
-for future in futures[:2]:
-    future.result(timeout=30)
-print("PREFIX=" + pool.prefix, flush=True)
+for worker in range(pool.workers):
+    pool.ping(worker)
+print("PIDS=" + " ".join(str(w.process.pid) for w in pool._workers), flush=True)
 os.kill(os.getpid(), signal.SIGTERM)
 signal.pause()
 """
 
 
-def test_sigterm_shutdown_leaks_no_shm_segments(tmp_path):
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_shutdown_leaves_no_worker_alive():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     process = subprocess.run(
@@ -271,13 +283,12 @@ def test_sigterm_shutdown_leaks_no_shm_segments(tmp_path):
         env=env,
     )
     assert process.returncode == 0, process.stderr
-    prefix = [
-        line.split("=", 1)[1]
+    pids = [
+        int(pid)
         for line in process.stdout.splitlines()
-        if line.startswith("PREFIX=")
-    ][0]
-    # No segment with the pool's prefix survived the process…
-    assert _shm_segments(prefix) == []
-    # …and the resource tracker saw nothing leak (it would warn on
-    # stderr at interpreter exit about leaked shared_memory objects).
-    assert "resource_tracker" not in process.stderr, process.stderr
+        if line.startswith("PIDS=")
+        for pid in line.split("=", 1)[1].split()
+    ]
+    assert len(pids) == 2
+    # The atexit hook joined every worker before the parent exited.
+    assert [pid for pid in pids if _alive(pid)] == []

@@ -120,6 +120,18 @@ def test_rename_dir_over_empty_dir(sc):
     assert sc.fs.lookup("/d").is_directory()
 
 
+def test_rename_dir_over_empty_dir_frees_the_replaced_block(sc):
+    # Each directory holds one block; the replaced one must give it
+    # back to the device and to its owner's quota, as rmdir does.
+    sc.fs.set_quota(0, 16)
+    sc.mkdir("/a", 0o755)
+    sc.mkdir("/b", 0o755)
+    assert sc.fs.device.allocated_blocks == 2
+    assert sc.rename("/a", "/b").ok
+    assert sc.fs.device.allocated_blocks == 1
+    assert sc.fs._quota_for(0).blocks_used == 1
+
+
 def test_rename_onto_itself_is_noop(sc, mkfile):
     mkfile("/a", size=7)
     assert sc.rename("/a", "/a").ok
